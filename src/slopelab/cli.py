@@ -105,7 +105,7 @@ def _cmd_scan(args) -> int:
         print(f"{len(reports)} knots checked, {failed} failures")
     if args.json:
         _write_json([r.to_json_dict() for r in reports], args.json)
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_qip(args) -> int:

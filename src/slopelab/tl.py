@@ -10,9 +10,16 @@ delta = -v^-2 - v^2.
 
 Tangles are evaluated in the same boxed form the diagram builder uses:
 a crossing box is a width-2n braid block crossing two n-strand bundles,
-attached eastward for horizontal runs and southward for vertical ones.
-The crossing smoothing weights are fixed by the same chirality
-constants as the diagrams (see ``KAPPA`` and the tests).
+a word in the braid generators v^k 1 + v^-k e_i.  Stacking one generator
+on an element rewrites each matching in place (a swap of partners, or
+one loop), so a crossing costs time linear in the number of terms.  A
+horizontal run stacks blocks on top; a vertical run does the same on
+the tangle turned a quarter turn, then turns it back.  The cable of a
+knot is built bottom to top without the projector: matchings the
+projector would kill are dropped as they appear, and the projector is
+multiplied in once, just before the closure.  The crossing smoothing
+weights are fixed by the same chirality constants as the diagrams (see
+``KAPPA`` and the tests).
 """
 from __future__ import annotations
 
@@ -179,17 +186,10 @@ def _glue_elements(x: TLElement, y: TLElement, glue_x_to_y, relabel, arity):
     """
     size = sum(1 for _ in relabel)
     out = {}
-    cache = {}
     for my, cy in y.terms.items():
         for mx, cx in x.terms.items():
-            key = (mx, my)
-            if key not in cache:
-                raw_pairs, loops = _glue_matchings(mx, my, glue_x_to_y)
-                m = _matching(
-                    [(relabel[u], relabel[w]) for u, w in raw_pairs], size
-                )
-                cache[key] = (m, loops)
-            m, loops = cache[key]
+            raw_pairs, loops = _glue_matchings(mx, my, glue_x_to_y)
+            m = _matching([(relabel[u], relabel[w]) for u, w in raw_pairs], size)
             c = cx * cy
             if loops:
                 c = c * LOOP**loops
@@ -275,56 +275,85 @@ def markov_closure(x: TLElement) -> LaurentPoly:
 # crossing blocks and tangle assembly
 
 
-def _braid_generator(width: int, i: int, over_diag: int) -> TLElement:
-    ident = TLElement.identity(width)
-    cup = TLElement.cup_generator(width, i)
-    if over_diag == 0:
-        return ident.scale(LaurentPoly.term(1, KAPPA)) + cup.scale(
-            LaurentPoly.term(1, -KAPPA)
-        )
-    return ident.scale(LaurentPoly.term(1, -KAPPA)) + cup.scale(
-        LaurentPoly.term(1, KAPPA)
-    )
+def _times_generator(x: TLElement, i: int, over_diag: int) -> TLElement:
+    """Stack one braid generator on top of x: v^k 1 + v^-k e_i, where
+    k = KAPPA for over_diag 0 and -KAPPA otherwise."""
+    k = KAPPA if over_diag == 0 else -KAPPA
+    loop = LOOP.shift(-k)
+    # labels of the top points on strands i-1 and i (counted from the left)
+    u = x.a + x.b - i
+    w = u - 1
+    out = {}
+    for m, c in x.terms.items():
+        # identity smoothing: same matching, coefficient times v^k
+        s = out.get(m)
+        out[m] = c.shift(k) if s is None else s + c.shift(k)
+        # e_i smoothing: cap u and w together and cup them again above
+        if m[u] == w:
+            turned, c = m, c * loop
+        else:
+            p = list(m)
+            a, b = m[u], m[w]
+            p[a], p[b], p[u], p[w] = b, a, w, u
+            turned, c = tuple(p), c.shift(-k)
+        s = out.get(turned)
+        out[turned] = c if s is None else s + c
+    return TLElement(x.a, x.b, {m: c for m, c in out.items() if c})
+
+
+def _times_block(x: TLElement, cable: int, over_diag: int, count: int = 1) -> TLElement:
+    """Stack count crossing blocks of two cable-strand bundles on top of x."""
+    for _ in range(count):
+        for t in range(cable):
+            for i in range(cable - t, 2 * cable - t):
+                x = _times_generator(x, i, over_diag)
+    return x
 
 
 @lru_cache(maxsize=None)
 def crossing_block(cable: int, over_diag: int) -> TLElement:
     """One crossing of two cable-strand bundles, as a width-2*cable braid."""
-    width = 2 * cable
-    block = TLElement.identity(width)
-    for t in range(cable):
-        for i in range(cable - t, 2 * cable - t):
-            block = tl_multiply(block, _braid_generator(width, i, over_diag))
-    return block
-
-
-def _attach_south(t: TLElement, v: TLElement, cable: int) -> TLElement:
-    n = cable
-    glue = {}
-    for j in range(n):
-        # Seam orientation reverses across the glued arc, like tl_multiply.
-        glue[n + j] = n - 1 - j  # T's SW bundle into V's NW bundle
-        glue[2 * n + j] = 4 * n - 1 - j  # T's SE bundle into V's NE bundle
-    relabel = {("x", i): i for i in range(n)}  # keep T's NW
-    relabel.update({("x", 3 * n + j): 3 * n + j for j in range(n)})  # T's NE
-    relabel.update({("y", n + j): n + j for j in range(2 * n)})  # V's SW and SE
-    return _glue_elements(t, v, glue, relabel, (2 * n, 2 * n))
+    return _times_block(TLElement.identity(2 * cable), cable, over_diag)
 
 
 def tangle_element(runs, cable: int) -> TLElement:
-    """Evaluate one tangle recipe at the given cable width."""
+    """Evaluate one tangle recipe at the given cable width.
+
+    Blocks of a horizontal run are stacked on top.  A vertical run
+    attaches them below the east-west axis instead; turned a quarter
+    turn, that is stacking on top again, and the block turned a quarter
+    turn is the block of the opposite over diagonal.
+    """
     element = None
     for axis, count, sense in runs:
-        block = crossing_block(cable, over_diagonal(axis, sense))
-        for _ in range(count):
-            if element is None:
-                element = block
-            elif axis == "h":
-                element = tl_multiply(element, block)
-            else:
-                element = _attach_south(element, block, cable)
+        over_diag = over_diagonal(axis, sense)
+        if element is None and count:
+            element, count = crossing_block(cable, over_diag), count - 1
+        if not count:
+            continue
+        if axis == "h":
+            element = _times_block(element, cable, over_diag, count)
+        else:
+            turned = _times_block(rotate(element, cable), cable, 1 - over_diag, count)
+            element = rotate(turned, -cable)
     assert element is not None
     return element
+
+
+def _is_braid_like(runs) -> bool:
+    """Whether the tangle is a plain braid word: horizontal runs only,
+    after a first run that may be a single vertical crossing."""
+    (axis, count, _), *rest = runs
+    return (axis == "h" or count == 1) and all(a == "h" for a, _, _ in rest)
+
+
+def _drop_projector_cups(x: TLElement, cable: int) -> TLElement:
+    """Drop the matchings with a cup among the first cable bottom
+    points: the projector stacked below them kills them."""
+    terms = {
+        m: c for m, c in x.terms.items() if all(m[i] >= cable for i in range(cable))
+    }
+    return TLElement(x.a, x.b, terms)
 
 
 def _cabled_vertical_strands(cable: int) -> TLElement:
@@ -400,11 +429,17 @@ def theta(a: int, b: int, c: int) -> LaurentPoly:
 
 def _projected_bracket(knot, cable: int) -> LaurentPoly:
     """Kauffman bracket of the cable with one projector inserted."""
-    runs = twist_runs(knot)
+    element = TLElement.identity(2 * cable)
+    for runs in twist_runs(knot):
+        # a braid word is stacked onto the running element directly
+        if _is_braid_like(runs):
+            for axis, count, sense in runs:
+                element = _times_block(element, cable, over_diagonal(axis, sense), count)
+        else:
+            element = tl_multiply(element, tangle_element(runs, cable))
+        element = _drop_projector_cups(element, cable)
     proj, denom = jw_projector(cable)
-    element = tensor(proj, TLElement.identity(cable))
-    for tangle_runs in runs:
-        element = tl_multiply(element, tangle_element(tangle_runs, cable))
+    element = tl_multiply(tensor(proj, TLElement.identity(cable)), element)
     return markov_closure(element).exact_div(denom)
 
 

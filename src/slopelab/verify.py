@@ -25,7 +25,7 @@ from .degrees import (
     tangle_reduction_total,
 )
 from .diagrams import build_standard_diagram, writhe
-from .errors import HypothesisViolation
+from .errors import ColorTooLarge, HypothesisViolation
 from .knots import (
     MontesinosKnot,
     PretzelKnot,
@@ -43,7 +43,7 @@ from .surfaces import (
     incompressibility_check,
     twist_number,
 )
-from .tl import colored_jones
+from .tl import DEFAULT_COLOR_CAP, colored_jones
 
 SCHEMA = "slopelab-report/1"
 
@@ -190,13 +190,20 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def _normalize_colors(oracle_colors, crossings: int) -> tuple[int, ...]:
+def _requested_colors(oracle_colors) -> Optional[tuple[int, ...]]:
+    """The explicitly requested oracle colors, or None for the default.
+
+    Raises ColorTooLarge before any work when a color is over the cap.
+    """
     if oracle_colors is None:
-        top = 3 if crossings <= _SMALL_DIAGRAM_CROSSINGS else 2
-        return tuple(range(2, top + 1))
+        return None
     if isinstance(oracle_colors, int):
-        return tuple(range(2, oracle_colors + 1))
-    return tuple(sorted({int(c) for c in oracle_colors if int(c) >= 2}))
+        colors = tuple(range(2, oracle_colors + 1))
+    else:
+        colors = tuple(sorted({int(c) for c in oracle_colors if int(c) >= 2}))
+    if colors and colors[-1] > DEFAULT_COLOR_CAP:
+        raise ColorTooLarge(f"color {colors[-1]} exceeds cap {DEFAULT_COLOR_CAP}")
+    return colors
 
 
 def verify(knot_spec, oracle_colors=None, force: bool = False) -> VerificationReport:
@@ -204,7 +211,8 @@ def verify(knot_spec, oracle_colors=None, force: bool = False) -> VerificationRe
 
     ``oracle_colors`` may be None (diagram-size-dependent default), an
     integer top color, or an iterable of colors; colors below 2 are
-    dropped.  ``force`` evaluates the degree formulas outside their
+    dropped, and a color over the cap raises ColorTooLarge before any
+    work starts.  ``force`` evaluates the degree formulas outside their
     proven hypotheses; the report then records any disagreement
     instead of refusing to start.
     """
@@ -213,6 +221,7 @@ def verify(knot_spec, oracle_colors=None, force: bool = False) -> VerificationRe
     else:
         knot = knot_spec
     require_knot(knot)
+    colors = _requested_colors(oracle_colors)
     if isinstance(knot, PretzelKnot):
         family = "pretzel"
         degree = pretzel_js_jx(knot.q, strict=not force)
@@ -236,7 +245,9 @@ def verify(knot_spec, oracle_colors=None, force: bool = False) -> VerificationRe
     diagram = build_standard_diagram(knot)
     crossings = len(diagram.crossings)
     w = writhe(diagram)
-    colors = _normalize_colors(oracle_colors, crossings)
+    if colors is None:
+        top = 3 if crossings <= _SMALL_DIAGRAM_CROSSINGS else 2
+        colors = tuple(range(2, top + 1))
     checks = []
     constants = []
     for color in colors:

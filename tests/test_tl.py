@@ -1,15 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from slopelab.errors import ColorTooLarge, InadmissibleTriple
-from slopelab.knots import MontesinosKnot, PretzelKnot
-from slopelab.laurent import LaurentPoly
+from slopelab.knots import MontesinosKnot, PretzelKnot, parse_knot_spec
+from slopelab.laurent import LaurentPoly, parse_poly
 from slopelab.tl import (
     DEFAULT_COLOR_CAP,
+    KAPPA,
     LOOP,
     TLElement,
+    _drop_projector_cups,
+    _glue_elements,
     _matching,
+    _times_generator,
     colored_jones,
     colored_jones_unknot,
     crossing_block,
@@ -17,12 +22,13 @@ from slopelab.tl import (
     is_noncrossing,
     jw_projector,
     markov_closure,
+    rotate,
     tangle_element,
     tensor,
     theta,
     tl_multiply,
 )
-from slopelab.diagrams import twist_runs
+from slopelab.diagrams import over_diagonal, twist_runs
 
 
 def quantum_int(n):
@@ -89,7 +95,134 @@ def test_cup_generator_relations():
     assert tl_multiply(tl_multiply(e2, e1), e2) == e2
 
 
+def _planar_matchings(size):
+    """Every noncrossing perfect matching of size boundary points."""
+
+    def pairings(points):
+        if not points:
+            yield []
+            return
+        for k in range(1, len(points), 2):
+            for inner in pairings(points[1:k]):
+                for outer in pairings(points[k + 1 :]):
+                    yield [(points[0], points[k])] + inner + outer
+
+    return [_matching(pairs, size) for pairs in pairings(list(range(size)))]
+
+
+def _dense_generator(width, i, over_diag):
+    """The braid generator v^k 1 + v^-k e_i as an element."""
+    k = KAPPA if over_diag == 0 else -KAPPA
+    ident = TLElement.identity(width).scale(LaurentPoly.term(1, k))
+    return ident + TLElement.cup_generator(width, i).scale(LaurentPoly.term(1, -k))
+
+
+def _dense_block(cable, over_diag):
+    width = 2 * cable
+    block = TLElement.identity(width)
+    for t in range(cable):
+        for i in range(cable - t, 2 * cable - t):
+            block = tl_multiply(block, _dense_generator(width, i, over_diag))
+    return block
+
+
+def _dense_attach_south(t, v, n):
+    """Glue v below t by matching t's south bundles to v's north ones."""
+    glue = {}
+    for j in range(n):
+        glue[n + j] = n - 1 - j
+        glue[2 * n + j] = 4 * n - 1 - j
+    relabel = {("x", i): i for i in range(n)}
+    relabel.update({("x", 3 * n + j): 3 * n + j for j in range(n)})
+    relabel.update({("y", n + j): n + j for j in range(2 * n)})
+    return _glue_elements(t, v, glue, relabel, (2 * n, 2 * n))
+
+
+def _dense_tangle(runs, cable):
+    """Tangle assembly by one dense product (or gluing) per crossing."""
+    element = None
+    for axis, count, sense in runs:
+        block = _dense_block(cable, over_diagonal(axis, sense))
+        for _ in range(count):
+            if element is None:
+                element = block
+            elif axis == "h":
+                element = tl_multiply(element, block)
+            else:
+                element = _dense_attach_south(element, block, cable)
+    return element
+
+
+def _random_element(rng, width):
+    matchings = _planar_matchings(2 * width)
+    chosen = rng.sample(matchings, min(len(matchings), 24))
+    return TLElement(
+        width,
+        width,
+        {
+            m: LaurentPoly({rng.randrange(-8, 9): rng.choice((-2, -1, 1, 3)) for _ in range(3)})
+            for m in chosen
+        },
+    )
+
+
+@pytest.mark.parametrize("cable", [1, 2, 3])
+def test_times_generator_matches_dense_product(cable):
+    rng = random.Random(cable)
+    width = 2 * cable
+    for _ in range(3):
+        x = _random_element(rng, width)
+        for i in range(1, width):
+            for over_diag in (0, 1):
+                dense = tl_multiply(x, _dense_generator(width, i, over_diag))
+                assert _times_generator(x, i, over_diag) == dense
+
+
+@pytest.mark.parametrize("cable", [1, 2, 3])
+def test_crossing_block_is_the_braid_word(cable):
+    for over_diag in (0, 1):
+        assert crossing_block(cable, over_diag) == _dense_block(cable, over_diag)
+
+
+@pytest.mark.parametrize("cable", [1, 2, 3])
+def test_quarter_turn_swaps_over_diagonal(cable):
+    for over_diag in (0, 1):
+        block = crossing_block(cable, over_diag)
+        assert rotate(block, cable) == crossing_block(cable, 1 - over_diag)
+        assert rotate(rotate(block, cable), -cable) == block
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        [("v", 3, 1)],
+        [("v", 2, -1)],
+        [("h", 2, 1), ("v", 2, -1)],
+        [("v", 1, 1), ("h", 2, -1), ("v", 2, 1), ("h", 1, 1)],
+    ],
+)
 @pytest.mark.parametrize("cable", [1, 2])
+def test_tangle_element_matches_dense_assembly(runs, cable):
+    assert tangle_element(runs, cable) == _dense_tangle(runs, cable)
+
+
+@pytest.mark.parametrize("cable", [1, 2, 3])
+def test_dropped_matchings_are_killed_by_projector(cable):
+    width = 2 * cable
+    every = TLElement(
+        width, width, {m: LaurentPoly.one() for m in _planar_matchings(2 * width)}
+    )
+    kept = _drop_projector_cups(every, cable)
+    dropped = set(every.terms) - set(kept.terms)
+    assert bool(dropped) == (cable > 1)
+    proj, _ = jw_projector(cable)
+    bottom = tensor(proj, TLElement.identity(cable))
+    for m in dropped:
+        single = TLElement(width, width, {m: LaurentPoly.one()})
+        assert tl_multiply(bottom, single) == TLElement(width, width, {})
+
+
+@pytest.mark.parametrize("cable", [1, 2, 3])
 def test_crossing_block_inverse(cable):
     pos = crossing_block(cable, 0)
     neg = crossing_block(cable, 1)
@@ -203,10 +336,43 @@ FROZEN_SPANS = [
 
 @pytest.mark.parametrize("spec, n, span", FROZEN_SPANS)
 def test_frozen_degree_spans(spec, n, span):
-    from slopelab.knots import parse_knot_spec
-
     poly = colored_jones(parse_knot_spec(spec), n)
     assert (poly.min_degree(), poly.degree()) == span
+
+
+# Whole colour-4 polynomials, recorded from the dense evaluation that
+# composed one full TL product per crossing with the projector first.
+FROZEN_COLOR4 = [
+    (
+        "p:1,1,1",
+        "v^90 - v^82 - v^78 - v^74 + v^62 + v^58 + v^54 + v^50 + v^46 - v^30 - v^26"
+        " - v^22 - v^18 - v^14 - v^10 - v^6",
+    ),
+    (
+        "p:-3,-1,-1",
+        "-v^-6 - v^-18 - 2*v^-22 - v^-26 + v^-30 - 2*v^-38 - v^-42 - v^-54 + v^-62"
+        " + v^-66 + 2*v^-70 + v^-74 + v^-86 - v^-90 - v^-94 + v^-102 - v^-110 + v^-118"
+        " - v^-126 - v^-130 + v^-138",
+    ),
+    (
+        "m:-1/2,1/3,2/3",
+        "-v^126 + v^118 + v^114 - v^106 + v^98 + v^94 - v^86 - v^82 - v^70 - 2*v^66"
+        " + v^58 + v^54 - v^50 + v^42 - v^34 + v^30 + v^26 + v^10 + 2*v^6 + 2*v^2"
+        " + 2*v^-14 - v^-18 - 2*v^-22 - v^-26 + v^-34",
+    ),
+    (
+        "p:-3,3,3",
+        "-v^150 + v^142 + v^138 - v^130 + v^122 + v^118 - v^110 - 2*v^106 - v^102"
+        " - v^90 - v^86 + v^82 + 3*v^78 + v^74 + v^66 + 2*v^62 + v^58 - v^54 - v^50"
+        " - v^46 - 2*v^42 - 3*v^38 - v^34 - v^30 + v^18 + v^14 + 3*v^10 + 2*v^6 - v^2"
+        " - 3*v^-2 - v^-6 + 3*v^-10 - 2*v^-18 - 2*v^-22",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, text", FROZEN_COLOR4, ids=[s for s, _ in FROZEN_COLOR4])
+def test_frozen_color4_polynomials(spec, text):
+    assert colored_jones(parse_knot_spec(spec), 4) == parse_poly(text)
 
 
 def test_worked_example_spans():

@@ -1,10 +1,12 @@
+import dataclasses
+import importlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from slopelab import cli
-from slopelab.errors import HypothesisViolation, NotAKnot
+from slopelab.errors import ColorTooLarge, HypothesisViolation, NotAKnot
 from slopelab.knots import parse_knot_spec
 from slopelab.verify import (
     SCHEMA,
@@ -95,6 +97,21 @@ def test_oracle_color_policy():
     assert [c.color for c in verify("p:-3,3,3", oracle_colors=3).oracle] == [2, 3]
     assert [c.color for c in verify("p:-3,3,3", oracle_colors=[3]).oracle] == [3]
     assert [c.color for c in verify("p:-3,3,3", oracle_colors=[1, 2]).oracle] == [2]
+
+
+def test_oversized_color_fails_before_any_work(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the color check")
+
+    # the package re-exports verify(), which shadows the module attribute
+    verify_module = importlib.import_module("slopelab.verify")
+    for name in ("colored_jones", "pretzel_js_jx", "build_reference_surface"):
+        monkeypatch.setattr(verify_module, name, forbidden)
+    for colors in (5, [2, 5]):
+        with pytest.raises(ColorTooLarge):
+            verify("p:-3,5,5", oracle_colors=colors)
+    assert cli.main(["verify", "p:-3,5,5", "--oracle-n", "5"]) == 2
+    assert "exceeds cap" in capsys.readouterr().err
 
 
 def test_report_json_round_trip():
@@ -209,6 +226,14 @@ def test_cli_scan(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "3 knots checked, 0 failures" in out
     assert len(json.loads(target.read_text())) == 3
+
+
+def test_cli_scan_exits_1_on_a_failed_report(monkeypatch, capsys):
+    passing = verify("p:-3,3,3", oracle_colors=())
+    failing = dataclasses.replace(passing, reasons=("forced failure",))
+    monkeypatch.setattr(cli, "scan", lambda *args, **kwargs: [passing, failing])
+    assert cli.main(["scan"]) == 1
+    assert "2 knots checked, 1 failures" in capsys.readouterr().out
 
 
 def test_cli_scan_exceptional(capsys):
