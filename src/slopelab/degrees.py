@@ -31,12 +31,6 @@ from .knots import (
 SSTAR = "SStar"
 REFERENCE = "Reference"
 
-#: Case labels of the sign analysis: "1" (s < 0), "2a" (s = 0, s1 != 0),
-#: "2b" (s = 0 = s1, where leading-term survival needs the parity
-#: hypotheses), "3" (s > 0).
-CASES = ("1", "2a", "2b", "3")
-
-
 @dataclass(frozen=True)
 class StateParameters:
     """Skein-state exponent vector k = (k0; k1, ..., km) at cable size n.
@@ -207,6 +201,11 @@ def delta_nk_special(n: int, k: StateParameters, q, q_prime) -> Fraction:
 
 
 def _case_and_hint(s: Fraction, s1: Fraction, m: int):
+    """(case, surface hint, js, jx) from the signs of (s, s1).
+
+    Case "1" is s < 0, "2a" is s = 0 != s1, "2b" is s = 0 = s1 (where
+    leading-term survival needs the parity hypotheses), "3" is s > 0.
+    """
     if s < 0:
         return "1", SSTAR, -2 * s, -2 * s1 + 4 * s - 2 * (m - 1)
     if s == 0:

@@ -37,10 +37,6 @@ class HypothesisViolation(SlopelabError):
         super().__init__("; ".join(self.failures))
 
 
-class NotPositiveDefinite(SlopelabError):
-    """Quadratic form is not positive definite."""
-
-
 class AdjacencyViolation(SlopelabError):
     """Consecutive vertices of an edge path are not adjacent slopes."""
 

@@ -5,10 +5,12 @@ maximizing a concave quadratic over tight lattice states.  Decomposing
 by the total t of the positive-index entries reduces the problem to
 minimizing a separable convex quadratic sum(a_i x_i^2 + b_i x_i) over
 the scaled simplex {x >= 0 integral, sum x_i = t}.  This module solves
-that inner problem exactly — real minimizers, integer minimizers with
-a pairwise optimality certificate, and the quasi-linear structure of
-the minimizer as a function of t — and layers the outer t-scan with
-its sign-based case analysis on top.
+that inner problem exactly by the greedy marginal threshold (the t
+smallest per-coordinate marginals form every minimizer), certifies the
+result pairwise or by exhaustion, records the quasi-linear structure
+of the minimizer as a function of t, and layers the outer t-scan on
+top.  The case analysis of the real relaxation lives in
+``slopelab.degrees``.
 """
 from __future__ import annotations
 
@@ -16,26 +18,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
-from .degrees import s_and_s1
-from .errors import NotPositiveDefinite
-
 #: State-space bound above which degenerate minimizers are not
-#: re-verified by exhaustion (the Graver descent is still exact).
+#: re-verified by exhaustion (the threshold greedy is still exact).
 _BRUTE_CAP = 200_000
-#: Bound on the tie-break search over equal-value minimizers.
-_TIE_CAP = 10_000
+
+
+def _integral(value, what: str) -> int:
+    """``value`` as an int; reject anything that is not integer-valued."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
 class SeparableQuadratic:
-    """Objective sum_i a_i x_i^2 + b_i x_i with positive a."""
+    """Objective sum_i a_i x_i^2 + b_i x_i with positive integer a."""
 
     a: tuple[int, ...]
     b: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(v) for v in self.a))
-        object.__setattr__(self, "b", tuple(int(v) for v in self.b))
+        object.__setattr__(self, "a", tuple(_integral(v, "a") for v in self.a))
+        object.__setattr__(self, "b", tuple(_integral(v, "b") for v in self.b))
         if len(self.a) != len(self.b):
             raise ValueError("coefficient vectors must have equal length")
         if not self.a:
@@ -58,7 +65,7 @@ class LatticeOptimum:
     """Integer minimizer over the scaled simplex at one t.
 
     ``certificate_checked`` records that optimality was confirmed
-    beyond the descent itself — by the pairwise certificate at a
+    beyond the greedy itself — by the pairwise certificate at a
     non-degenerate minimizer, or by exhaustion on a small state space
     otherwise.  ``period`` is the quasi-period of the minimizer map
     t -> x*(t): shifting t by it moves the minimizer by the fixed
@@ -69,89 +76,6 @@ class LatticeOptimum:
     value: Fraction
     certificate_checked: bool
     period: int
-
-
-def _solve_linear(rows, rhs):
-    """Exact Gaussian elimination for Ax = rhs over the rationals."""
-    n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise NotPositiveDefinite("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return tuple(aug[r][n] for r in range(n))
-
-
-def _leading_minor(rows, k) -> Fraction:
-    """Determinant of the leading k-by-k block, by fraction elimination."""
-    sub = [[Fraction(rows[i][j]) for j in range(k)] for i in range(k)]
-    det = Fraction(1)
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if sub[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            sub[col], sub[pivot] = sub[pivot], sub[col]
-            det = -det
-        det *= sub[col][col]
-        inv = 1 / sub[col][col]
-        for r in range(col + 1, k):
-            if sub[r][col]:
-                factor = sub[r][col] * inv
-                sub[r] = [v - factor * w for v, w in zip(sub[r], sub[col])]
-    return det
-
-
-def real_min_unconstrained(A, b) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Minimize (1/2) x^T A x + b^T x over real x, exactly.
-
-    A must be symmetric positive definite (verified through exact
-    leading principal minors).  The minimum sits at x = -A^{-1} b with
-    value -(1/2) b^T A^{-1} b.
-    """
-    rows = [list(row) for row in A]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    if len(b) != n:
-        raise ValueError("linear term has wrong length")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if Fraction(rows[i][j]) != Fraction(rows[j][i]):
-                raise ValueError("matrix must be symmetric")
-    for k in range(1, n + 1):
-        if _leading_minor(rows, k) <= 0:
-            raise NotPositiveDefinite(
-                f"leading {k}x{k} minor is not positive; form is not positive definite"
-            )
-    x = _solve_linear(rows, [-Fraction(v) for v in b])
-    # With x = -A^{-1} b the value -(1/2) b^T A^{-1} b equals (1/2) b.x.
-    value = Fraction(1, 2) * sum(Fraction(bi) * xi for bi, xi in zip(b, x))
-    return x, value
-
-
-def real_min_simplex(
-    f: SeparableQuadratic, t
-) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Minimize f over real x with sum x_i = t (no sign constraint).
-
-    Lagrange stationarity equalizes the marginals 2 a_i x_i + b_i, so
-    x_i = (lam - b_i) / (2 a_i) with lam fixed by the sum constraint.
-    The value is a quadratic in t with leading coefficient
-    1 / sum(1/a_i) and linear coefficient sum(b_i/a_i) / sum(1/a_i).
-    """
-    t = Fraction(t)
-    inv_sum = sum(Fraction(1, 2 * ai) for ai in f.a)
-    lam = (t + sum(Fraction(bi, 2 * ai) for ai, bi in zip(f.a, f.b))) / inv_sum
-    x = tuple((lam - bi) / (2 * ai) for ai, bi in zip(f.a, f.b))
-    return x, f.value(x)
 
 
 def _check_feasible(f: SeparableQuadratic, x, t):
@@ -181,57 +105,6 @@ def graver_certificate(f: SeparableQuadratic, x, t: int) -> bool:
     return True
 
 
-def _descend(f: SeparableQuadratic, x: list[int]) -> list[int]:
-    """Steepest descent along moves e_j - e_i until none improves."""
-    a, b = f.a, f.b
-    while True:
-        best_delta = 0
-        best_move = None
-        for i in range(f.m):
-            if x[i] == 0:
-                continue
-            drop = a[i] * (2 * x[i] - 1) + b[i]
-            for j in range(f.m):
-                if j == i:
-                    continue
-                delta = a[j] * (2 * x[j] + 1) + b[j] - drop
-                if delta < best_delta:
-                    best_delta = delta
-                    best_move = (i, j)
-        if best_move is None:
-            return x
-        i, j = best_move
-        x[i] -= 1
-        x[j] += 1
-
-
-def _lex_smallest_minimizer(f: SeparableQuadratic, x: tuple[int, ...]):
-    """Explore equal-value neighbors to pick the lex-smallest minimizer."""
-    a, b = f.a, f.b
-    seen = {x}
-    frontier = [x]
-    while frontier and len(seen) < _TIE_CAP:
-        nxt = []
-        for point in frontier:
-            for i in range(f.m):
-                if point[i] == 0:
-                    continue
-                drop = a[i] * (2 * point[i] - 1) + b[i]
-                for j in range(f.m):
-                    if j == i:
-                        continue
-                    if a[j] * (2 * point[j] + 1) + b[j] == drop:
-                        moved = list(point)
-                        moved[i] -= 1
-                        moved[j] += 1
-                        moved = tuple(moved)
-                        if moved not in seen:
-                            seen.add(moved)
-                            nxt.append(moved)
-        frontier = nxt
-    return min(seen)
-
-
 def _compositions(total: int, parts: int):
     if parts == 1:
         yield (total,)
@@ -241,13 +114,8 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def _brute_minimum(f: SeparableQuadratic, t: int):
-    best_x, best_v = None, None
-    for x in _compositions(t, f.m):
-        v = f.value(x)
-        if best_v is None or v < best_v or (v == best_v and x < best_x):
-            best_x, best_v = x, v
-    return best_x, best_v
+def _brute_minimum(f: SeparableQuadratic, t: int) -> Fraction:
+    return min(f.value(x) for x in _compositions(t, f.m))
 
 
 def varpi(f: SeparableQuadratic) -> int:
@@ -255,45 +123,51 @@ def varpi(f: SeparableQuadratic) -> int:
     return sum(prod(f.a[j] for j in range(f.m) if j != i) for i in range(f.m))
 
 
+def _marginals_below(f: SeparableQuadratic, lam: int) -> list[int]:
+    """Per coordinate, how many marginals a_i(2k+1) + b_i are < lam."""
+    return [max(0, -((ai + bi - lam) // (2 * ai))) for ai, bi in zip(f.a, f.b)]
+
+
 def lattice_min(f: SeparableQuadratic, t: int) -> LatticeOptimum:
     """Exact integer minimizer of f over {x >= 0, sum x_i = t}.
 
-    Rounds the real minimizer onto the simplex, repairs the total with
-    cheapest marginal steps, descends along moves e_j - e_i to a point
-    no single move improves (global minimality, by convexity and the
-    simplex structure), and resolves ties toward the lexicographically
-    smallest minimizer.
+    Raising x_i from k to k+1 costs the marginal a_i(2k+1) + b_i,
+    which strictly increases in k, so every minimizer takes the t
+    smallest marginals of all coordinates.  With lam the t-th smallest
+    (found by integer bisection on the count of marginals below a
+    threshold, in O(m log(a t)) steps), each coordinate takes all of
+    its marginals below lam, and the remaining increments go one each
+    to the highest-index coordinates whose next marginal equals lam:
+    that choice is the lexicographically smallest minimizer.
     """
-    t = int(t)
+    t = _integral(t, "total")
     if t < 0:
         raise ValueError("total must be non-negative")
     period = varpi(f)
     if t == 0:
         zero = (0,) * f.m
         return LatticeOptimum(zero, Fraction(0), True, period)
-    real_x, _ = real_min_simplex(f, t)
-    x = [min(t, max(0, int(v))) for v in real_x]
-    a, b = f.a, f.b
-    while sum(x) < t:
-        i = min(range(f.m), key=lambda i: (a[i] * (2 * x[i] + 1) + b[i], i))
+    # Invariant: fewer than t marginals lie below lo + 1, at least t below hi + 1.
+    lo = min(ai + bi for ai, bi in zip(f.a, f.b)) - 1
+    hi = f.a[0] * (2 * t - 1) + f.b[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sum(_marginals_below(f, mid + 1)) >= t:
+            hi = mid
+        else:
+            lo = mid
+    lam = hi
+    x = _marginals_below(f, lam)
+    ties = [i for i in range(f.m) if f.a[i] * (2 * x[i] + 1) + f.b[i] == lam]
+    for i in ties[len(ties) - (t - sum(x)):]:
         x[i] += 1
-    while sum(x) > t:
-        i = min(
-            range(f.m),
-            key=lambda i: (-(a[i] * (2 * x[i] - 1) + b[i]), i)
-            if x[i] > 0
-            else (float("inf"), i),
-        )
-        x[i] -= 1
-    x = tuple(_descend(f, x))
-    x = _lex_smallest_minimizer(f, x)
+    x = tuple(x)
     value = f.value(x)
     degenerate = any(v == 0 or v == t for v in x)
     if not degenerate:
         checked = graver_certificate(f, x, t)
     elif comb(t + f.m - 1, f.m - 1) <= _BRUTE_CAP:
-        _, brute_value = _brute_minimum(f, t)
-        checked = brute_value == value
+        checked = _brute_minimum(f, t) == value
     else:
         checked = False
     return LatticeOptimum(x, value, checked, period)
@@ -304,31 +178,20 @@ class DegreeMaximum:
     """Outcome of the tight-state degree maximization at one cable size.
 
     ``k_star`` holds the positive-index entries of the maximizing tight
-    state; its total ``t_star`` doubles as the k0 entry.  The pair
-    (s, s1) gives the exact coefficients of the real-relaxed exponent
-    s t^2 + s1 t that drives the case analysis.
+    state; its total ``t_star`` doubles as the k0 entry.
     """
 
     n: int
     t_star: int
-    case: str
     value: Fraction
     k_star: tuple[int, ...]
-    s: Fraction
-    s1: Fraction
-
-    @property
-    def value_coefficients(self) -> tuple[Fraction, Fraction]:
-        return (self.s, self.s1)
 
 
 def maximize_degree(q, n: int) -> DegreeMaximum:
     """Maximize the tight-state degree over all totals t in 0..n.
 
-    Scans every t, solving the inner lattice minimization exactly, and
-    keeps the smallest maximizing t.  The case label records the signs
-    of (s, s1): "1" favors t = n, "2a"/"2b" sit at the s = 0
-    boundary, and "3" pushes the maximum toward small t.
+    Scans every t, solving the inner lattice minimization exactly with
+    ``lattice_min``, and keeps the smallest maximizing t.
     """
     q = tuple(int(v) for v in q)
     n = int(n)
@@ -343,13 +206,6 @@ def maximize_degree(q, n: int) -> DegreeMaximum:
     f = SeparableQuadratic(
         tuple(qi - 1 for qi in rest), tuple(-2 + q0 + qi for qi in rest)
     )
-    s, s1 = s_and_s1(q)
-    if s < 0:
-        case = "1"
-    elif s == 0:
-        case = "2b" if s1 == 0 else "2a"
-    else:
-        case = "3"
     total_q = sum(q)
     best = None
     for t in range(n + 1):
@@ -359,6 +215,4 @@ def maximize_degree(q, n: int) -> DegreeMaximum:
         if best is None or delta > best[1]:
             best = (t, delta, opt.minimizer)
     t_star, value, k_star = best
-    return DegreeMaximum(
-        n=n, t_star=t_star, case=case, value=value, k_star=k_star, s=s, s1=s1
-    )
+    return DegreeMaximum(n=n, t_star=t_star, value=value, k_star=k_star)

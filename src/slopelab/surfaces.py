@@ -314,9 +314,9 @@ def _check_gluing(surface: CandidateSurface):
     coords = curve_coords(surface)
     bands = {c.B for c in coords}
     if len(bands) != 1 or coords[0].B != surface.common_b:
-        raise AssertionError(f"band counts differ across tangles: {coords}")
+        raise NoSolution(f"band counts differ across tangles: {coords}")
     if sum(c.C for c in coords) != 0:
-        raise AssertionError(f"slope totals do not cancel: {coords}")
+        raise NoSolution(f"slope totals do not cancel: {coords}")
 
 
 def _final_rvalue(path: EdgePath) -> int:

@@ -4,14 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from slopelab.errors import NotPositiveDefinite
 from slopelab.qip import (
     SeparableQuadratic,
     graver_certificate,
     lattice_min,
     maximize_degree,
-    real_min_simplex,
-    real_min_unconstrained,
     varpi,
 )
 
@@ -37,55 +34,12 @@ def test_separable_quadratic_validation():
         SeparableQuadratic((), ())
     with pytest.raises(ValueError):
         SeparableQuadratic((2, 0), (1, 2))
-
-
-def test_real_min_unconstrained():
-    x, v = real_min_unconstrained([[2, 1], [1, 2]], [-3, -3])
-    assert x == (1, 1)
-    assert v == -3
-    x, v = real_min_unconstrained([[4, 0], [0, 8]], [-4, -8])
-    assert x == (1, 1)
-    assert v == -6
-
-
-def test_real_min_unconstrained_validation():
-    with pytest.raises(NotPositiveDefinite):
-        real_min_unconstrained([[1, 2], [2, 1]], [0, 0])
-    with pytest.raises(NotPositiveDefinite):
-        real_min_unconstrained([[1, 1], [1, 1]], [0, 0])
-    with pytest.raises(ValueError):
-        real_min_unconstrained([[1, 2], [0, 1]], [0, 0])
-    with pytest.raises(ValueError):
-        real_min_unconstrained([[1, 0], [0, 1]], [0, 0, 0])
-
-
-def test_real_min_simplex_proportions():
-    f = SeparableQuadratic((4, 6, 2, 4), (0, 0, 0, 0))
-    x, v = real_min_simplex(f, 1)
-    assert x == (
-        Fraction(3, 14),
-        Fraction(1, 7),
-        Fraction(3, 7),
-        Fraction(3, 14),
-    )
-    assert v == f.value(x)
-    assert sum(x) == 1
-
-
-def test_real_min_simplex_equal_marginals():
-    rng = random.Random(7)
-    for _ in range(20):
-        m = rng.randint(2, 4)
-        f = SeparableQuadratic(
-            tuple(rng.randint(1, 6) for _ in range(m)),
-            tuple(rng.randint(-5, 5) for _ in range(m)),
-        )
-        t = rng.randint(-3, 6)
-        x, v = real_min_simplex(f, t)
-        assert sum(x) == t
-        marginals = {2 * ai * xi + bi for ai, bi, xi in zip(f.a, f.b, x)}
-        assert len(marginals) == 1
-        assert v == f.value(x)
+    # Non-integral coefficients are rejected, never truncated.
+    for a, b in [((1.5, 2), (0, 0)), ((1, 2), (0, Fraction(1, 2))), ((1,), ("x",))]:
+        with pytest.raises(ValueError):
+            SeparableQuadratic(a, b)
+    g = SeparableQuadratic((Fraction(4, 2), 3.0), (-1.0, Fraction(4)))
+    assert g == f and all(type(v) is int for v in g.a + g.b)
 
 
 def test_graver_certificate():
@@ -115,6 +69,10 @@ def test_lattice_min_edge_cases():
     assert zero.certificate_checked
     with pytest.raises(ValueError):
         lattice_min(f, -1)
+    for t in (2.7, Fraction(5, 2), float("nan"), float("inf"), "2"):
+        with pytest.raises(ValueError):
+            lattice_min(f, t)
+    assert lattice_min(f, 3.0) == lattice_min(f, Fraction(6, 2)) == lattice_min(f, 3)
 
 
 def test_lattice_min_matches_brute_force():
@@ -132,6 +90,46 @@ def test_lattice_min_matches_brute_force():
         assert opt.minimizer == bx
         assert f.value(opt.minimizer) == opt.value
         assert sum(opt.minimizer) == t
+
+
+def dp_min(f, t):
+    """Min-plus convolution of the coordinate tables, as in criterion 6."""
+    acc = [f.a[0] * x * x + f.b[0] * x for x in range(t + 1)]
+    for ai, bi in zip(f.a[1:], f.b[1:]):
+        table = [ai * x * x + bi * x for x in range(t + 1)]
+        acc = [min(acc[x] + table[s - x] for x in range(s + 1)) for s in range(t + 1)]
+    return acc
+
+
+def test_lattice_min_greedy_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(deadline=None)
+    @hypothesis.given(
+        st.integers(1, 5).flatmap(
+            lambda m: st.tuples(
+                st.lists(st.integers(1, 9), min_size=m, max_size=m),
+                st.lists(st.integers(-20, 20), min_size=m, max_size=m),
+            )
+        ),
+        st.integers(0, 40),
+    )
+    def check(coefficients, t_max):
+        f = SeparableQuadratic(*coefficients)
+        reference = dp_min(f, t_max)
+        previous = None
+        for t in range(t_max + 1):
+            opt = lattice_min(f, t)
+            assert opt.value == reference[t] == f.value(opt.minimizer)
+            assert sum(opt.minimizer) == t
+            assert all(x >= 0 for x in opt.minimizer)
+            if previous is not None:
+                # Minimizers are nested: raising t never lowers a coordinate.
+                assert all(y >= x for x, y in zip(previous, opt.minimizer))
+            previous = opt.minimizer
+
+    check()
 
 
 def test_lattice_min_quasi_period():
@@ -153,12 +151,7 @@ def test_maximize_degree_anchors():
     ]:
         d = maximize_degree(q, n)
         assert (d.t_star, d.k_star, d.value) == (t_star, k_star, value)
-        assert d.case == "1"
         assert sum(d.k_star) == d.t_star
-    assert maximize_degree(q, 14).value_coefficients == (
-        Fraction(-36, 7),
-        Fraction(-32, 7),
-    )
 
 
 def test_maximize_degree_small_pretzel():
@@ -170,7 +163,6 @@ def test_maximize_degree_small_pretzel():
 def test_maximize_degree_balanced_case_prefers_small_total():
     for n in (0, 1, 2, 3):
         d = maximize_degree((-2, 3, 7), n)
-        assert d.case == "3"
         assert d.t_star == 0
         assert d.k_star == (0, 0)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from slopelab.surfaces import (
     sstar_vector,
     twist_number,
 )
+from slopelab.surfaces import _check_gluing
 
 WORKED = MontesinosKnot.from_fractions(
     [
@@ -211,6 +213,19 @@ def test_curve_coords_gluing():
     assert all(c.B == s.common_b for c in coords)
     assert sum(c.C for c in coords) == 0
     assert [c.C for c in coords[1:]] == [3, 2, 6, 3]
+
+
+def test_check_gluing_raises_no_solution():
+    s = build_sstar_surface(BIG_PRETZEL)
+    _check_gluing(s)
+    # A doctored ladder depth moves the shared band count off the paths'.
+    with pytest.raises(NoSolution, match="band counts"):
+        _check_gluing(dataclasses.replace(s, q_negative=s.q_negative + 1))
+    # Swapping the negative tangle's path for a positive one breaks the
+    # cancellation of the slope totals.
+    doctored = dataclasses.replace(s, edgepaths=(s.edgepaths[1],) + s.edgepaths[1:])
+    with pytest.raises(NoSolution, match="slope totals"):
+        _check_gluing(doctored)
 
 
 def test_sstar_needs_deeper_ladder():

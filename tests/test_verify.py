@@ -254,6 +254,15 @@ def test_cli_qip(capsys):
     out = capsys.readouterr().out
     assert "minimizer (2, 1)" in out
     assert "value -4" in out
+    # A huge total must not cost time linear in t.
+    argv = ["qip", "--a", "2,4,3", "--b=-4,-8,5", "--t", "1000000000"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "minimizer (461538462, 230769231, 307692307)",
+        "value 923076920923076918",
+        "certificate_checked True",
+        "period 26",
+    ]
 
 
 def test_cli_qip_json_stdout(capsys):
