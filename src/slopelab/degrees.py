@@ -184,22 +184,6 @@ def delta_nk(n: int, k: StateParameters, q) -> Fraction:
     return -2 * inner
 
 
-def delta_nk_special(n: int, k: StateParameters, q, q_prime) -> Fraction:
-    """Tight-state degree for a two-layer twist vector (q, q').
-
-    Tangles built from a double twist region (qi full twists stacked on
-    q'i half-twist pairs) shift every tight-state degree by the same
-    k-independent amount n^2 * sum(q'i - 1); q'i = 1 recovers
-    ``delta_nk`` exactly.
-    """
-    q_prime = tuple(int(x) for x in q_prime)
-    q = tuple(int(x) for x in q)
-    if len(q_prime) != len(q):
-        raise ValueError("q and q' must have matching lengths")
-    base = delta_nk(n, k, q)
-    return base + n * n * sum(qp - 1 for qp in q_prime[1:])
-
-
 def _case_and_hint(s: Fraction, s1: Fraction, m: int):
     """(case, surface hint, js, jx) from the signs of (s, s1).
 

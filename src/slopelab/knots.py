@@ -214,12 +214,6 @@ def parse_knot_spec(text: str):
     raise ValueError(f"unknown knot kind {kind!r} (want 'p' or 'm')")
 
 
-def tangle_count(knot) -> int:
-    if isinstance(knot, PretzelKnot):
-        return len(knot.q)
-    return len(knot.fractions)
-
-
 def require_knot(knot):
     """Raise NotAKnot when the model closes up into a link."""
     fr = knot.fractions() if isinstance(knot, PretzelKnot) else knot.fractions

@@ -167,11 +167,6 @@ class LaurentPoly:
     def min_degree(self):
         return min(self.coeffs) if self.coeffs else NEG_INF
 
-    def leading_coeff(self):
-        if not self.coeffs:
-            return 0
-        return self.coeffs[max(self.coeffs)]
-
     def mirror(self):
         """Substitute v -> v^-1."""
         res = LaurentPoly.__new__(LaurentPoly)
@@ -211,15 +206,6 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, data):
         return cls({int(e): c for e, c in data.items()})
-
-
-def laurent_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p * q
-
-
-def laurent_degree(p: LaurentPoly):
-    """Top exponent of p, or NEG_INF for the zero polynomial."""
-    return p.degree()
 
 
 def format_poly(p: LaurentPoly) -> str:

@@ -7,20 +7,16 @@ minimizing a separable convex quadratic sum(a_i x_i^2 + b_i x_i) over
 the scaled simplex {x >= 0 integral, sum x_i = t}.  This module solves
 that inner problem exactly by the greedy marginal threshold (the t
 smallest per-coordinate marginals form every minimizer), certifies the
-result pairwise or by exhaustion, records the quasi-linear structure
-of the minimizer as a function of t, and layers the outer t-scan on
-top.  The case analysis of the real relaxation lives in
+result by a pairwise exchange condition, records the quasi-linear
+structure of the minimizer as a function of t, and layers the outer
+t-scan on top.  The case analysis of the real relaxation lives in
 ``slopelab.degrees``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
-
-#: State-space bound above which degenerate minimizers are not
-#: re-verified by exhaustion (the threshold greedy is still exact).
-_BRUTE_CAP = 200_000
+from math import prod
 
 
 def _integral(value, what: str) -> int:
@@ -64,10 +60,9 @@ class SeparableQuadratic:
 class LatticeOptimum:
     """Integer minimizer over the scaled simplex at one t.
 
-    ``certificate_checked`` records that optimality was confirmed
-    beyond the greedy itself — by the pairwise certificate at a
-    non-degenerate minimizer, or by exhaustion on a small state space
-    otherwise.  ``period`` is the quasi-period of the minimizer map
+    ``certificate_checked`` records that the pairwise exchange
+    certificate confirmed optimality beyond the greedy itself.
+    ``period`` is the quasi-period of the minimizer map
     t -> x*(t): shifting t by it moves the minimizer by the fixed
     vector of complementary products of a.
     """
@@ -79,7 +74,7 @@ class LatticeOptimum:
 
 
 def _check_feasible(f: SeparableQuadratic, x, t):
-    x = tuple(int(v) for v in x)
+    x = tuple(_integral(v, "coordinate") for v in x)
     if len(x) != f.m:
         raise ValueError("point has wrong dimension")
     if any(v < 0 for v in x) or sum(x) != t:
@@ -90,32 +85,25 @@ def _check_feasible(f: SeparableQuadratic, x, t):
 def graver_certificate(f: SeparableQuadratic, x, t: int) -> bool:
     """Pairwise optimality certificate at a feasible lattice point.
 
-    True iff 2(a_i x_i - a_j x_j) <= (a_i + a_j) - (b_i - b_j) for all
-    ordered pairs i != j; at non-degenerate points this is equivalent
-    to minimality over the scaled simplex.
+    True iff moving one unit from any coordinate i with x_i > 0 to any
+    other coordinate j does not lower f, that is
+    2(a_i x_i - a_j x_j) <= (a_i + a_j) - (b_i - b_j).  Equivalently,
+    the last marginal a_i(2x_i - 1) + b_i taken by any coordinate is at
+    most the next marginal a_j(2x_j + 1) + b_j of any other, so x holds
+    the t smallest marginals: the condition is exact at every feasible
+    point, degenerate ones included.
     """
     x = _check_feasible(f, x, t)
     a, b = f.a, f.b
     for i in range(f.m):
+        if x[i] == 0:
+            continue  # a unit cannot leave an empty coordinate
         for j in range(f.m):
             if i == j:
                 continue
             if 2 * (a[i] * x[i] - a[j] * x[j]) > (a[i] + a[j]) - (b[i] - b[j]):
                 return False
     return True
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-def _brute_minimum(f: SeparableQuadratic, t: int) -> Fraction:
-    return min(f.value(x) for x in _compositions(t, f.m))
 
 
 def varpi(f: SeparableQuadratic) -> int:
@@ -162,15 +150,7 @@ def lattice_min(f: SeparableQuadratic, t: int) -> LatticeOptimum:
     for i in ties[len(ties) - (t - sum(x)):]:
         x[i] += 1
     x = tuple(x)
-    value = f.value(x)
-    degenerate = any(v == 0 or v == t for v in x)
-    if not degenerate:
-        checked = graver_certificate(f, x, t)
-    elif comb(t + f.m - 1, f.m - 1) <= _BRUTE_CAP:
-        checked = _brute_minimum(f, t) == value
-    else:
-        checked = False
-    return LatticeOptimum(x, value, checked, period)
+    return LatticeOptimum(x, f.value(x), graver_certificate(f, x, t), period)
 
 
 @dataclass(frozen=True)
@@ -193,8 +173,8 @@ def maximize_degree(q, n: int) -> DegreeMaximum:
     Scans every t, solving the inner lattice minimization exactly with
     ``lattice_min``, and keeps the smallest maximizing t.
     """
-    q = tuple(int(v) for v in q)
-    n = int(n)
+    q = tuple(_integral(v, "twist entry") for v in q)
+    n = _integral(n, "cable size")
     if n < 0:
         raise ValueError("cable size must be non-negative")
     if q[0] >= 0:

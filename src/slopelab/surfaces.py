@@ -169,29 +169,6 @@ class CandidateSurface:
         return self.K[0] + self.M * (self.q_negative - 2)
 
 
-def edgepath_from_negative_cfe(cf) -> EdgePath:
-    """Edge-path of a negative-flavor continued fraction, ending at 1/0.
-
-    The vertices are the partial evaluations of [[b0, ..., bk]], read
-    from the full value down to [[b0]], followed by infinity.  Entries
-    after the first must have magnitude at least two; anything else
-    cannot produce an adjacent chain.
-    """
-    entries = [int(b) for b in cf]
-    if not entries:
-        raise ValueError("empty continued fraction")
-    small = [b for b in entries[1:] if abs(b) < 2]
-    if small:
-        raise AdjacencyViolation(
-            f"entries {small} have magnitude < 2; the partial values of "
-            f"{entries} would not be adjacent"
-        )
-    partials = partial_evaluations(entries, flavor="negative")
-    vertices = [FareyVertex.from_fraction(v) for v in reversed(partials)]
-    vertices.append(FareyVertex.infinity())
-    return EdgePath(tuple(vertices))
-
-
 def sstar_vector(q) -> tuple[tuple[Fraction, ...], int, tuple[int, ...]]:
     """Simplex weights x*, sheet count M, and arc counts K = M x*.
 

@@ -6,7 +6,10 @@ right along the bottom and points a..a+b-1 right to left along the top.
 A planar matching is stored as a partner tuple (partner[i] = j).  An
 element is a dict from matchings to Laurent-polynomial coefficients; a
 closed loop created while gluing contributes the loop value
-delta = -v^-2 - v^2.
+delta = -v^-2 - v^2.  Because the top is numbered right to left, stacking
+a (b, c) element on an (a, b) one joins top point p of the lower element
+to bottom point a + b - 1 - p of the upper one, and the same expression
+maps back.
 
 Tangles are evaluated in the same boxed form the diagram builder uses:
 a crossing box is a width-2n braid block crossing two n-strand bundles,
@@ -46,23 +49,13 @@ LOOP = LaurentPoly({-2: -1, 2: -1})
 def _matching(pairs, size) -> PlanarMatching:
     partner = [-1] * size
     for i, j in pairs:
-        assert partner[i] == -1 and partner[j] == -1
+        if partner[i] != -1 or partner[j] != -1:
+            raise ValueError(f"point of ({i}, {j}) is already paired")
         partner[i] = j
         partner[j] = i
-    assert all(p >= 0 for p in partner)
+    if -1 in partner:
+        raise ValueError(f"point {partner.index(-1)} is left unpaired")
     return tuple(partner)
-
-
-def is_noncrossing(m: PlanarMatching) -> bool:
-    n = len(m)
-    for i in range(n):
-        j = m[i]
-        if i >= j:
-            continue
-        for k in range(i + 1, j):
-            if not i < m[k] < j:
-                return False
-    return True
 
 
 class TLElement:
@@ -97,7 +90,10 @@ class TLElement:
         )
 
     def __add__(self, other) -> "TLElement":
-        assert (self.a, self.b) == (other.a, other.b)
+        if (self.a, self.b) != (other.a, other.b):
+            raise ValueError(
+                f"frames differ: ({self.a}, {self.b}) and ({other.a}, {other.b})"
+            )
         terms = dict(self.terms)
         for m, c in other.terms.items():
             s = terms.get(m, LaurentPoly.zero()) + c
@@ -119,77 +115,63 @@ class TLElement:
         return f"TLElement({self.a},{self.b},{len(self.terms)} terms)"
 
 
-def _glue_matchings(mx, my, glue_x_to_y):
-    """Glue two matchings along glue_x_to_y: {x point: y point}.
+def _stack(mx, my, a: int, b: int):
+    """Stack matching my on matching mx along their b seam points.
 
-    Returns (pairs, loops) where pairs chain the surviving points,
-    tagged ("x", i) or ("y", j).
+    mx is an (a, b) partner tuple and my a (b, c) one; returns the (a, c)
+    partner tuple and the number of closed loops.  Seam point q is my's
+    bottom point q and mx's top point a + b - 1 - q, so one expression
+    crosses the seam either way.
     """
-    glue_y_to_x = {j: i for i, j in glue_x_to_y.items()}
-    visited = set()
-    pairs = []
-
-    def free_points():
-        for i in range(len(mx)):
-            if i not in glue_x_to_y:
-                yield ("x", i)
-        for j in range(len(my)):
-            if j not in glue_y_to_x:
-                yield ("y", j)
-
-    def step(node):
-        # follow the matching edge, then hop across the gluing if possible
-        side, k = node
-        k = (mx if side == "x" else my)[k]
-        visited.add((side, k))
-        if side == "x" and k in glue_x_to_y:
-            nxt = ("y", glue_x_to_y[k])
-            visited.add(nxt)
-            return nxt, False
-        if side == "y" and k in glue_y_to_x:
-            nxt = ("x", glue_y_to_x[k])
-            visited.add(nxt)
-            return nxt, False
-        return (side, k), True
-
-    for start in free_points():
-        if start in visited:
+    seam = a + b - 1
+    lift = a - b  # my's top point j is the result's point j + lift
+    out = [-1] * (len(my) + lift)
+    seen = [False] * b
+    for start in range(len(out)):
+        if out[start] >= 0:
             continue
-        visited.add(start)
-        node = start
-        while True:
-            node, done = step(node)
-            if done:
+        if start < a:
+            s = mx[start]
+            if s < a:
+                out[start], out[s] = s, start
+                continue
+            seen[seam - s] = True
+            r = my[seam - s]
+        else:
+            r = my[start - lift]
+        # r is a point of my: cross down while it lies on the seam
+        while r < b:
+            seen[r] = True
+            s = mx[seam - r]
+            if s < a:
+                end = s
                 break
-        pairs.append((start, node))
-
+            seen[seam - s] = True
+            r = my[seam - s]
+        else:
+            end = r + lift
+        out[start], out[end] = end, start
     loops = 0
-    for side, k in [("x", i) for i in glue_x_to_y] + [("y", j) for j in glue_y_to_x]:
-        if (side, k) in visited:
-            continue
-        loops += 1
-        node = (side, k)
-        visited.add(node)
-        while True:
-            node, done = step(node)
-            assert not done, "loop walk escaped"
-            if node == (side, k):
-                break
-    return pairs, loops
+    for q in range(b):
+        if not seen[q]:
+            loops += 1
+            while not seen[q]:
+                seen[q] = True
+                r = my[q]
+                seen[r] = True
+                q = seam - mx[seam - r]
+    return tuple(out), loops
 
 
-def _glue_elements(x: TLElement, y: TLElement, glue_x_to_y, relabel, arity):
-    """Generic planar gluing of two elements.
-
-    relabel maps tagged surviving points to result labels; arity is the
-    resulting (a, b).
-    """
-    size = sum(1 for _ in relabel)
+def tl_multiply(x: TLElement, y: TLElement) -> TLElement:
+    """Stack y on top of x (compose x then y)."""
+    if x.b != y.a:
+        raise ValueError(f"arity mismatch: {x.b} outputs into {y.a} inputs")
+    a, b = x.a, x.b
     out = {}
     for my, cy in y.terms.items():
         for mx, cx in x.terms.items():
-            raw_pairs, loops = _glue_matchings(mx, my, glue_x_to_y)
-            m = _matching([(relabel[u], relabel[w]) for u, w in raw_pairs], size)
+            m, loops = _stack(mx, my, a, b)
             c = cx * cy
             if loops:
                 c = c * LOOP**loops
@@ -198,75 +180,59 @@ def _glue_elements(x: TLElement, y: TLElement, glue_x_to_y, relabel, arity):
                 out[m] = s
             else:
                 out.pop(m, None)
-    return TLElement(arity[0], arity[1], out)
-
-
-def tl_multiply(x: TLElement, y: TLElement) -> TLElement:
-    """Stack y on top of x (compose x then y)."""
-    assert x.b == y.a, f"arity mismatch: {x.b} outputs into {y.a} inputs"
-    glue = {x.a + t: x.b - 1 - t for t in range(x.b)}
-    relabel = {("x", i): i for i in range(x.a)}
-    relabel.update({("y", y.a + u): x.a + u for u in range(y.b)})
-    return _glue_elements(x, y, glue, relabel, (x.a, y.b))
+    return TLElement(a, y.b, out)
 
 
 def tensor(x: TLElement, y: TLElement) -> TLElement:
     """Place y to the right of x."""
+    # Result points run x's bottom, all of y, then x's top.
+    width = y.a + y.b
+    label = [i if i < x.a else i + width for i in range(x.a + x.b)]
+    shifted = [(tuple(x.a + j for j in my), cy) for my, cy in y.terms.items()]
     out = {}
     for mx, cx in x.terms.items():
-        for my, cy in y.terms.items():
-            relabel = {}
-            for i in range(x.a):
-                relabel[("x", i)] = i
-            for t in range(x.b):
-                relabel[("x", x.a + t)] = x.a + y.a + y.b + t
-            for j in range(y.a):
-                relabel[("y", j)] = x.a + j
-            for u in range(y.b):
-                relabel[("y", y.a + u)] = x.a + y.a + u
-            pairs = []
-            for src, m in (("x", mx), ("y", my)):
-                for i, j in enumerate(m):
-                    if i < j:
-                        pairs.append((relabel[(src, i)], relabel[(src, j)]))
-            mm = _matching(pairs, x.a + x.b + y.a + y.b)
+        relabeled = tuple(label[j] for j in mx)
+        bottom, top = relabeled[: x.a], relabeled[x.a :]
+        for my, cy in shifted:
             c = cx * cy
-            s = out.get(mm, LaurentPoly.zero()) + c
-            if s:
-                out[mm] = s
+            if c:
+                out[bottom + my + top] = c
     return TLElement(x.a + y.a, x.b + y.b, out)
 
 
 def rotate(x: TLElement, k: int) -> TLElement:
     """Rotate the disk by k boundary points (labels move up by k)."""
     size = x.a + x.b
-    out = {}
-    for m, c in x.terms.items():
-        pairs = [((i + k) % size, (m[i] + k) % size) for i in range(size) if i < m[i]]
-        out[_matching(pairs, size)] = c
-    return TLElement(x.a, x.b, out)
+    return TLElement(
+        x.a,
+        x.b,
+        {
+            tuple((m[(i - k) % size] + k) % size for i in range(size)): c
+            for m, c in x.terms.items()
+        },
+    )
 
 
 def markov_closure(x: TLElement) -> LaurentPoly:
     """Close an (n, n) element around the side; returns a scalar."""
-    assert x.a == x.b
+    if x.a != x.b:
+        raise ValueError(f"cannot close a ({x.a}, {x.b}) element")
     size = x.a + x.b
     total = LaurentPoly.zero()
     for m, c in x.terms.items():
-        glue = {i: size - 1 - i for i in range(size)}
-        # walk cycles alternating matching and closure arcs
-        seen = set()
+        # the closure arc joins i and size - 1 - i; count the cycles
+        seen = [False] * size
         loops = 0
         for i in range(size):
-            if i in seen:
+            if seen[i]:
                 continue
             loops += 1
             j = i
-            while j not in seen:
-                seen.add(j)
-                j2 = m[j]
-                seen.add(j2)
-                j = glue[j2]
+            while not seen[j]:
+                seen[j] = True
+                j = m[j]
+                seen[j] = True
+                j = size - 1 - j
         total = total + c * LOOP**loops
     return total
 
@@ -336,7 +302,8 @@ def tangle_element(runs, cable: int) -> TLElement:
         else:
             turned = _times_block(rotate(element, cable), cable, 1 - over_diag, count)
             element = rotate(turned, -cable)
-    assert element is not None
+    if element is None:
+        raise ValueError("tangle has no crossings")
     return element
 
 

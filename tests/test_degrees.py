@@ -9,7 +9,6 @@ from slopelab.degrees import (
     MontesinosCorrections,
     StateParameters,
     delta_nk,
-    delta_nk_special,
     exceptional_scan,
     montesinos_corrections,
     montesinos_js_jx,
@@ -125,17 +124,6 @@ def test_delta_nk_matches_lattice_maximum():
                 if sum(rest) <= n
             )
             assert best == maximize_degree(q, n).value
-
-
-def test_delta_nk_special_shift():
-    q = (-7, 5, 7, 3, 5)
-    qp = (-9, 3, 5, 5, 1)
-    k = StateParameters(2, (2, 1, 1, 0, 0))
-    base = delta_nk(2, k, q)
-    assert delta_nk_special(2, k, q, qp) == base + 4 * sum(x - 1 for x in qp[1:])
-    assert delta_nk_special(2, k, q, (0, 1, 1, 1, 1)) == base
-    with pytest.raises(ValueError):
-        delta_nk_special(2, k, q, (0, 1, 1))
 
 
 def test_tr_move_shift_values():

@@ -19,7 +19,6 @@ from slopelab.knots import (
     normalize_reduced,
     parse_knot_spec,
     require_knot,
-    tangle_count,
 )
 
 WORKED = [
@@ -178,11 +177,6 @@ def test_parse_knot_spec_round_trips():
 def test_parse_knot_spec_rejects(text):
     with pytest.raises(ValueError):
         parse_knot_spec(text)
-
-
-def test_tangle_count():
-    assert tangle_count(PretzelKnot((-3, 3, 3))) == 3
-    assert tangle_count(MontesinosKnot.from_fractions(WORKED)) == 5
 
 
 def test_require_knot():

@@ -50,6 +50,11 @@ def test_graver_certificate():
         graver_certificate(f, (2, 2), 3)
     with pytest.raises(ValueError):
         graver_certificate(f, (4, -1), 3)
+    # Non-integral points are rejected, never truncated to (2, 1).
+    with pytest.raises(ValueError):
+        graver_certificate(f, (2.9, 1.0), 3)
+    # Degenerate point: no unit can leave the empty second coordinate.
+    assert graver_certificate(SeparableQuadratic((1, 1), (0, 10)), (3, 0), 3)
 
 
 def test_lattice_min_anchor():
@@ -174,3 +179,7 @@ def test_maximize_degree_validation():
         maximize_degree((3, 3), 2)
     with pytest.raises(ValueError):
         maximize_degree((-3, 1), 2)
+    # Non-integral twist entries or cable sizes are rejected, never truncated.
+    for q, n in [((-3.5, 3, 3), 2), ((-3, 3, 3), 2.5)]:
+        with pytest.raises(ValueError):
+            maximize_degree(q, n)

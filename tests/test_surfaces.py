@@ -22,7 +22,6 @@ from slopelab.surfaces import (
     build_reference_surface,
     build_sstar_surface,
     curve_coords,
-    edgepath_from_negative_cfe,
     euler_over_sheets,
     farey_adjacent,
     incompressibility_check,
@@ -100,28 +99,6 @@ def test_edge_path_validation():
         EdgePath(path.vertices, final_fraction=(6, 5))
     with pytest.raises(ValueError):
         EdgePath((FareyVertex.from_fraction(0),), final_fraction=(1, 2))
-
-
-@pytest.mark.parametrize(
-    "cf, values",
-    [
-        ([0, -3], [Fraction(1, 3), Fraction(0)]),
-        ([-1, -2], [Fraction(-1, 2), Fraction(-1)]),
-        ([1, 2, 2], [Fraction(1, 3), Fraction(1, 2), Fraction(1)]),
-    ],
-)
-def test_edgepath_from_negative_cfe(cf, values):
-    path = edgepath_from_negative_cfe(cf)
-    assert path.vertices[-1].is_infinite
-    assert [v.value for v in path.vertices[:-1]] == values
-    assert path.final_fraction is None
-
-
-def test_edgepath_from_negative_cfe_rejects_small_entries():
-    with pytest.raises(AdjacencyViolation):
-        edgepath_from_negative_cfe([0, -3, 1])
-    with pytest.raises(ValueError):
-        edgepath_from_negative_cfe([])
 
 
 def test_sstar_vector_anchors():
@@ -273,7 +250,13 @@ def test_candidate_surface_validation():
 
 
 def test_twist_and_euler_reject_infinite_paths():
-    inf_path = edgepath_from_negative_cfe([0, -3])
+    inf_path = EdgePath(
+        (
+            FareyVertex.from_fraction(Fraction(1, 3)),
+            FareyVertex.from_fraction(Fraction(0)),
+            FareyVertex.infinity(),
+        )
+    )
     surface = CandidateSurface((inf_path,) * 3, 1, (0, 0, 0), None, (1, 1, 1))
     with pytest.raises(UnsupportedEdgepathShape):
         twist_number(surface)

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import slopelab
 from slopelab.errors import ColorTooLarge, InadmissibleTriple
 from slopelab.knots import MontesinosKnot, PretzelKnot, parse_knot_spec
 from slopelab.laurent import LaurentPoly, parse_poly
@@ -12,14 +16,12 @@ from slopelab.tl import (
     LOOP,
     TLElement,
     _drop_projector_cups,
-    _glue_elements,
     _matching,
     _times_generator,
     colored_jones,
     colored_jones_unknot,
     crossing_block,
     delta_n,
-    is_noncrossing,
     jw_projector,
     markov_closure,
     rotate,
@@ -33,6 +35,109 @@ from slopelab.diagrams import over_diagonal, twist_runs
 
 def quantum_int(n):
     return LaurentPoly({2 * (n - 1) - 4 * j: 1 for j in range(n)})
+
+
+def is_noncrossing(m):
+    n = len(m)
+    for i in range(n):
+        j = m[i]
+        if i >= j:
+            continue
+        for k in range(i + 1, j):
+            if not i < m[k] < j:
+                return False
+    return True
+
+
+def _glue_matchings(mx, my, glue_x_to_y):
+    """Glue two matchings along glue_x_to_y: {x point: y point}.
+
+    Returns (pairs, loops) where pairs chain the surviving points,
+    tagged ("x", i) or ("y", j).
+    """
+    glue_y_to_x = {j: i for i, j in glue_x_to_y.items()}
+    visited = set()
+    pairs = []
+
+    def free_points():
+        for i in range(len(mx)):
+            if i not in glue_x_to_y:
+                yield ("x", i)
+        for j in range(len(my)):
+            if j not in glue_y_to_x:
+                yield ("y", j)
+
+    def step(node):
+        # follow the matching edge, then hop across the gluing if possible
+        side, k = node
+        k = (mx if side == "x" else my)[k]
+        visited.add((side, k))
+        if side == "x" and k in glue_x_to_y:
+            nxt = ("y", glue_x_to_y[k])
+            visited.add(nxt)
+            return nxt, False
+        if side == "y" and k in glue_y_to_x:
+            nxt = ("x", glue_y_to_x[k])
+            visited.add(nxt)
+            return nxt, False
+        return (side, k), True
+
+    for start in free_points():
+        if start in visited:
+            continue
+        visited.add(start)
+        node = start
+        while True:
+            node, done = step(node)
+            if done:
+                break
+        pairs.append((start, node))
+
+    loops = 0
+    for side, k in [("x", i) for i in glue_x_to_y] + [("y", j) for j in glue_y_to_x]:
+        if (side, k) in visited:
+            continue
+        loops += 1
+        node = (side, k)
+        visited.add(node)
+        while True:
+            node, done = step(node)
+            assert not done, "loop walk escaped"
+            if node == (side, k):
+                break
+    return pairs, loops
+
+
+def _glue_elements(x, y, glue_x_to_y, relabel, arity):
+    """Generic planar gluing of two elements: the reference for the
+    library's products.
+
+    relabel maps tagged surviving points to result labels; arity is the
+    resulting (a, b).
+    """
+    size = sum(1 for _ in relabel)
+    out = {}
+    for my, cy in y.terms.items():
+        for mx, cx in x.terms.items():
+            raw_pairs, loops = _glue_matchings(mx, my, glue_x_to_y)
+            m = _matching([(relabel[u], relabel[w]) for u, w in raw_pairs], size)
+            c = cx * cy
+            if loops:
+                c = c * LOOP**loops
+            s = out.get(m, LaurentPoly.zero()) + c
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return TLElement(arity[0], arity[1], out)
+
+
+def _glued_product(x, y):
+    """tl_multiply by the generic gluer: y's bottom meets x's top."""
+    glue = {x.a + t: x.b - 1 - t for t in range(x.b)}
+    relabel = {("x", i): i for i in range(x.a)}
+    relabel.update({("y", y.a + u): x.a + u for u in range(y.b)})
+    return _glue_elements(x, y, glue, relabel, (x.a, y.b))
 
 
 def _fuse(a, b, c):
@@ -164,6 +269,90 @@ def _random_element(rng, width):
             for m in chosen
         },
     )
+
+
+def _random_frame_element(rng, a, b):
+    matchings = _planar_matchings(a + b)
+    chosen = rng.sample(matchings, min(len(matchings), 12))
+    return TLElement(
+        a,
+        b,
+        {m: LaurentPoly({rng.randrange(-8, 9): rng.choice((-2, -1, 1, 3))}) for m in chosen},
+    )
+
+
+FRAMES = [
+    (0, 2, 0), (2, 0, 2), (1, 1, 3), (3, 1, 1), (2, 4, 2),
+    (4, 2, 4), (3, 5, 3), (5, 3, 1), (4, 4, 4), (0, 4, 2),
+]
+
+
+@pytest.mark.parametrize("a, b, c", FRAMES)
+def test_tl_multiply_matches_generic_gluing(a, b, c):
+    rng = random.Random(100 * a + 10 * b + c)
+    for _ in range(3):
+        x = _random_frame_element(rng, a, b)
+        y = _random_frame_element(rng, b, c)
+        assert tl_multiply(x, y) == _glued_product(x, y)
+
+
+def test_tl_multiply_matches_generic_gluing_on_library_frames():
+    for n in (2, 3, 4):
+        proj, _ = jw_projector(n - 1)
+        wide = tensor(proj, TLElement.identity(1))
+        cap = TLElement.cup_generator(n, n - 1)
+        assert tl_multiply(wide, cap) == _glued_product(wide, cap)
+        assert tl_multiply(cap, wide) == _glued_product(cap, wide)
+    for a, b, c in [(1, 1, 2), (2, 1, 1), (3, 2, 1), (2, 2, 4), (3, 3, 0)]:
+        pa, pb = jw_projector(a)[0], jw_projector(b)[0]
+        steps = [_unfuse(a, b, c), tensor(pa, pb), _fuse(a, b, c)]
+        if c:
+            steps.append(jw_projector(c)[0])
+        x = steps[0]
+        for y in steps[1:]:
+            assert tl_multiply(x, y) == _glued_product(x, y)
+            x = tl_multiply(x, y)
+
+
+@pytest.mark.parametrize("a, b, c", FRAMES)
+def test_tensor_interchange_law(a, b, c):
+    rng = random.Random(7 + 100 * a + 10 * b + c)
+    x1, x2 = _random_frame_element(rng, a, b), _random_frame_element(rng, b, c)
+    y1, y2 = _random_frame_element(rng, c, b), _random_frame_element(rng, b, a)
+    assert tensor(tl_multiply(x1, x2), tl_multiply(y1, y2)) == tl_multiply(
+        tensor(x1, y1), tensor(x2, y2)
+    )
+
+
+def test_frame_checks_raise_value_error():
+    two, three = TLElement.identity(2), TLElement.identity(3)
+    with pytest.raises(ValueError):
+        tl_multiply(two, three)
+    with pytest.raises(ValueError):
+        two + three
+    with pytest.raises(ValueError):
+        markov_closure(TLElement(2, 0, {}))
+    with pytest.raises(ValueError):
+        tangle_element([("h", 0, 1)], 1)
+    with pytest.raises(ValueError):
+        _matching([(0, 1), (1, 2)], 4)
+    with pytest.raises(ValueError):
+        _matching([(0, 3)], 4)
+
+
+def test_arity_check_survives_optimize_flag():
+    code = (
+        "from slopelab.tl import TLElement, tl_multiply\n"
+        "try:\n"
+        "    tl_multiply(TLElement.identity(2), TLElement.identity(3))\n"
+        "except ValueError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(slopelab.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.stdout.strip() == "raised", run.stderr
 
 
 @pytest.mark.parametrize("cable", [1, 2, 3])

@@ -263,6 +263,16 @@ def test_cli_qip(capsys):
         "certificate_checked True",
         "period 26",
     ]
+    # A degenerate minimizer on a state space of 4.6 million points is
+    # still certified.
+    argv = ["qip", "--a", "1,1,1,1,1", "--b=0,0,0,0,1000", "--t", "100"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "minimizer (25, 25, 25, 25, 0)",
+        "value 2500",
+        "certificate_checked True",
+        "period 5",
+    ]
 
 
 def test_cli_qip_json_stdout(capsys):
