@@ -14,19 +14,16 @@ normalized Euler characteristic of a spanning surface, which is what
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .cfrac import bracket_sums
-from .diagrams import build_standard_diagram, writhe
+# Kept as a module attribute: perfbench's tracer test checks that a name
+# bound here by ``from .diagrams import`` is wrapped where it is bound.
+from .diagrams import build_standard_diagram  # noqa: F401
 from .errors import HypothesisViolation
-from .knots import (
-    MontesinosKnot,
-    PretzelKnot,
-    associated_pretzel,
-    check_strict_pretzel,
-)
+from .knots import PretzelKnot, check_strict_pretzel
 
 SSTAR = "SStar"
 REFERENCE = "Reference"
@@ -105,18 +102,7 @@ class MontesinosCorrections:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "q0_prime": self.q0_prime,
-            "r0_bracket": self.r0_bracket,
-            "r0_bracket_odd": self.r0_bracket_odd,
-            "r0_bracket_even": self.r0_bracket_even,
-            "sum_shift_minus_one": self.sum_shift_minus_one,
-            "sum_bracket": self.sum_bracket,
-            "sum_bracket_even": self.sum_bracket_even,
-            "sum_bracket_odd": self.sum_bracket_odd,
-            "writhe_pretzel": self.writhe_pretzel,
-            "writhe_knot": self.writhe_knot,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -318,7 +304,7 @@ def tangle_reduction_total(data) -> tuple[int, int]:
 
 def montesinos_corrections(knot) -> MontesinosCorrections:
     """Continued-fraction and writhe bookkeeping for a Montesinos knot."""
-    data = associated_pretzel(knot)
+    data = knot.associated
     e0, o0, t0 = bracket_sums(list(data.cfes[0]))
     sum_shift = sum(cf[2] - 1 for cf in data.cfes[1:])
     sum_e = sum_o = sum_t = 0
@@ -327,7 +313,6 @@ def montesinos_corrections(knot) -> MontesinosCorrections:
         sum_e += e
         sum_o += o
         sum_t += t
-    pretzel = PretzelKnot(data.q)
     return MontesinosCorrections(
         q0_prime=data.qprime[0],
         r0_bracket=t0,
@@ -337,8 +322,8 @@ def montesinos_corrections(knot) -> MontesinosCorrections:
         sum_bracket=sum_t,
         sum_bracket_even=sum_e,
         sum_bracket_odd=sum_o,
-        writhe_pretzel=writhe(build_standard_diagram(pretzel)),
-        writhe_knot=writhe(build_standard_diagram(knot)),
+        writhe_pretzel=PretzelKnot(data.q).writhe,
+        writhe_knot=knot.writhe,
     )
 
 
@@ -350,10 +335,7 @@ def montesinos_js_jx(knot, strict: bool = True) -> DegreeQuadratic:
     writhes of the two standard diagrams.  A pretzel passed in directly
     has vanishing corrections and reproduces ``pretzel_js_jx``.
     """
-    if not isinstance(knot, (PretzelKnot, MontesinosKnot)):
-        knot = MontesinosKnot.from_fractions(knot)
-    data = associated_pretzel(knot)
-    base = pretzel_js_jx(data.q, strict=strict)
+    base = pretzel_js_jx(knot.associated.q, strict=strict)
     corr = montesinos_corrections(knot)
     return DegreeQuadratic(
         js=base.js + corr.slope_shift,

@@ -73,7 +73,8 @@ class Diagram:
         return len(self.crossings) - 1
 
     def join(self, p, q):
-        assert p not in self.edge and q not in self.edge, "port already used"
+        if p in self.edge or q in self.edge:
+            raise ValueError(f"port already used: {p} or {q}")
         self.edge[p] = q
         self.edge[q] = p
 
@@ -102,7 +103,8 @@ def _build_tangle(d: Diagram, runs):
                 d.join(sw, bnw)
                 d.join(se, bne)
                 boundary = (nw, bsw, bse, ne)
-    assert boundary is not None, "tangle with no crossings"
+    if boundary is None:
+        raise ValueError("tangle with no crossings")
     return boundary
 
 
@@ -170,45 +172,3 @@ def crossing_signs(d: Diagram) -> list[int]:
 def writhe(d: Diagram) -> int:
     """Sum of oriented crossing signs (single-component diagrams only)."""
     return sum(crossing_signs(d))
-
-
-def planar_euler_check(d: Diagram) -> bool:
-    """Trace faces from the rotation system and test V - E + F == 2."""
-    seen = set()
-    faces = 0
-    for p0 in d.edge:
-        if p0 in seen:
-            continue
-        faces += 1
-        p = p0
-        while p not in seen:
-            seen.add(p)
-            ci, slot = d.edge[p]
-            p = (ci, (slot + 1) % 4)
-    v = len(d.crossings)
-    e = len(d.edge) // 2
-    return v - e + faces == 2
-
-
-def pd_code(d: Diagram):
-    """PD tuples [a, b, c, d] per crossing, counterclockwise from the
-    incoming under-strand edge, plus the list of crossing signs."""
-    order = _traverse(d)
-    label = {}
-    n = len(order)
-    for k, (ci, slot) in enumerate(order):
-        # edge k+1 runs from this passage's exit to the next entry
-        exit_port = (ci, (slot + 2) % 4)
-        entry_port = order[(k + 1) % n]
-        label[exit_port] = k + 1
-        label[entry_port] = k + 1
-    entries = {}
-    for ci, slot in order:
-        entries.setdefault(ci, {})[slot % 2] = slot
-    tuples = []
-    for ci, (_, _, over) in enumerate(d.crossings):
-        under_entry = entries[ci][1 - over]
-        tuples.append(
-            [label[(ci, (under_entry + k) % 4)] for k in range(4)]
-        )
-    return {"crossings": tuples, "signs": crossing_signs(d)}

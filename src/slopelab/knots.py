@@ -5,11 +5,16 @@ Montesinos knot K(r0, ..., rm) is held in reduced form: every fraction
 strictly between -1 and 1, nonzero, with exactly one negative fraction
 listed first.  ``normalize_reduced`` moves integer parts between
 tangles to reach that window without changing the total.
+
+Each knot object is also the record of its derived data: the
+associated pretzel, the standard diagram and its writhe are computed
+on first use and kept on the object.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cfrac import even_length_cfe, eval_cfe
 from .errors import HypothesisViolation, MoreThanOneNegativeTangle, NotAKnot
@@ -18,8 +23,28 @@ KNOT = "Knot"
 LINK = "Link"
 
 
+class _KnotRecord:
+    """Derived data of a knot; every reader shares the one diagram."""
+
+    @cached_property
+    def associated(self) -> "AssociatedPretzelData":
+        return associated_pretzel(self)
+
+    @cached_property
+    def diagram(self):
+        from . import diagrams
+
+        return diagrams.build_standard_diagram(self)
+
+    @cached_property
+    def writhe(self) -> int:
+        from . import diagrams
+
+        return diagrams.writhe(self.diagram)
+
+
 @dataclass(frozen=True)
-class PretzelKnot:
+class PretzelKnot(_KnotRecord):
     """Vertical twist vector (q0, ..., qm), entries nonzero."""
 
     q: tuple[int, ...]
@@ -36,11 +61,12 @@ class PretzelKnot:
     def m(self) -> int:
         return len(self.q) - 1
 
+    @property
     def fractions(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(1, x) for x in self.q)
 
     def is_knot(self) -> bool:
-        return classify(self.fractions()) == KNOT
+        return classify(self.fractions) == KNOT
 
     def mirror(self) -> "PretzelKnot":
         return PretzelKnot(tuple(-x for x in self.q))
@@ -50,7 +76,7 @@ class PretzelKnot:
 
 
 @dataclass(frozen=True)
-class MontesinosKnot:
+class MontesinosKnot(_KnotRecord):
     """Reduced fraction vector (r0, ..., rm), r0 the unique negative."""
 
     fractions: tuple[Fraction, ...]
@@ -157,13 +183,7 @@ class AssociatedPretzelData:
 
 def associated_pretzel(knot) -> AssociatedPretzelData:
     """Read the pretzel (q0, ..., qm) off the even-length expansions."""
-    if isinstance(knot, PretzelKnot):
-        fractions = knot.fractions()
-    elif isinstance(knot, MontesinosKnot):
-        fractions = knot.fractions
-    else:
-        fractions = MontesinosKnot.from_fractions(knot).fractions
-
+    fractions = knot.fractions
     cfes = [even_length_cfe(r) for r in fractions]
     r0 = cfes[0]
     if len(r0) == 3 and r0[2] == -1:
@@ -185,7 +205,8 @@ def associated_pretzel(knot) -> AssociatedPretzelData:
         fractions=tuple(fractions),
     )
     for cf, r in zip(data.cfes, data.fractions):
-        assert eval_cfe(list(cf)) == r
+        if eval_cfe(list(cf)) != r:
+            raise ValueError(f"expansion {cf} does not evaluate to {r}")
     return data
 
 
@@ -216,7 +237,7 @@ def parse_knot_spec(text: str):
 
 def require_knot(knot):
     """Raise NotAKnot when the model closes up into a link."""
-    fr = knot.fractions() if isinstance(knot, PretzelKnot) else knot.fractions
+    fr = knot.fractions
     if classify(fr) != KNOT:
         raise NotAKnot(f"{fr} closes up into a link")
 

@@ -19,14 +19,14 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .cfrac import eval_cfe, partial_evaluations
+from .cfrac import partial_evaluations
 from .degrees import montesinos_corrections
 from .errors import (
     AdjacencyViolation,
     NoSolution,
     UnsupportedEdgepathShape,
 )
-from .knots import MontesinosKnot, PretzelKnot, associated_pretzel
+from .knots import PretzelKnot
 
 INCOMPRESSIBLE = "Incompressible"
 INCONCLUSIVE = "Inconclusive"
@@ -184,12 +184,6 @@ def sstar_vector(q) -> tuple[tuple[Fraction, ...], int, tuple[int, ...]]:
     return x, sheets, tuple(int(sheets * xi) for xi in x)
 
 
-def _coerce_knot(knot):
-    if isinstance(knot, (PretzelKnot, MontesinosKnot)):
-        return knot
-    return MontesinosKnot.from_fractions(knot)
-
-
 def _sstar_negative_entries(cfe) -> list[int]:
     """Ladder-flavor expansion of a negative tangle fraction.
 
@@ -313,8 +307,7 @@ def build_sstar_surface(knot) -> CandidateSurface:
     K0 + M(q-2) = K1(q1-1) with 0 <= K0 <= M.  That equation has a
     solution exactly when s(q) <= 0.
     """
-    knot = _coerce_knot(knot)
-    data = associated_pretzel(knot)
+    data = knot.associated
     q = data.q
     x, sheets, karcs = sstar_vector(q)
     band = karcs[0] * (q[1] - 1)
@@ -364,8 +357,7 @@ def build_reference_surface(knot) -> CandidateSurface:
     resolves the negative twist region the opposite way and the
     resulting slope offset is recorded in ``reference_slope``.
     """
-    knot = _coerce_knot(knot)
-    data = associated_pretzel(knot)
+    data = knot.associated
     paths = [
         _path_from_entries(_reference_negative_entries(data.cfes[0]), data.fractions[0])
     ]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .diagrams import build_standard_diagram, over_diagonal, twist_runs, writhe
+from .diagrams import over_diagonal, twist_runs
 from .errors import ColorTooLarge, InadmissibleTriple
 from .laurent import LaurentPoly
 
@@ -323,15 +323,6 @@ def _drop_projector_cups(x: TLElement, cable: int) -> TLElement:
     return TLElement(x.a, x.b, terms)
 
 
-def _cabled_vertical_strands(cable: int) -> TLElement:
-    """Two bundles running north-south: west points join each other,
-    east points likewise."""
-    n = cable
-    pairs = [(j, 2 * n - 1 - j) for j in range(n)]
-    pairs += [(2 * n + t, 4 * n - 1 - t) for t in range(n)]
-    return TLElement(2 * n, 2 * n, {_matching(pairs, 4 * n): LaurentPoly.one()})
-
-
 # ---------------------------------------------------------------------------
 # Jones-Wenzl projectors
 
@@ -420,24 +411,6 @@ def colored_jones(knot, n: int, color_cap: int = DEFAULT_COLOR_CAP) -> LaurentPo
     cable = n - 1
     if cable == 0:
         return LaurentPoly.one()
-    w = writhe(build_standard_diagram(knot))
     bracket = _projected_bracket(knot, cable)
-    framing = LaurentPoly.term(1 if cable % 2 == 0 else -1, -w * (n * n - 1))
+    framing = LaurentPoly.term(1 if cable % 2 == 0 else -1, -knot.writhe * (n * n - 1))
     return framing * bracket
-
-
-def colored_jones_unknot(n: int, color_cap: int = DEFAULT_COLOR_CAP) -> LaurentPoly:
-    """Same normalization, evaluated on a crossingless round diagram."""
-    if n < 1:
-        raise ValueError("color must be at least 1")
-    if n > color_cap:
-        raise ColorTooLarge(f"color {n} exceeds cap {color_cap}")
-    cable = n - 1
-    if cable == 0:
-        return LaurentPoly.one()
-    proj, denom = jw_projector(cable)
-    element = tl_multiply(
-        tensor(proj, TLElement.identity(cable)), _cabled_vertical_strands(cable)
-    )
-    value = markov_closure(element).exact_div(denom)
-    return value if cable % 2 == 0 else value * -1

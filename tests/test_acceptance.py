@@ -28,8 +28,9 @@ from slopelab.surfaces import (
     euler_over_sheets,
     twist_number,
 )
-from slopelab.tl import colored_jones, colored_jones_unknot
+from slopelab.tl import colored_jones
 from slopelab.verify import verify
+from support import colored_jones_unknot
 
 WORKED_SPEC = "m:-46/327,35/151,5/31,16/35,1/5"
 WORKED_PRETZEL = (-7, 5, 7, 3, 5)

@@ -189,7 +189,7 @@ def test_montesinos_js_jx_worked_example():
     assert (d.case, d.surface_hint) == ("1", "SStar")
     assert d.strict_ok
     assert isinstance(d.corrections, MontesinosCorrections)
-    assert montesinos_js_jx(list(WORKED.fractions)) == d
+    assert montesinos_js_jx(MontesinosKnot.from_fractions(WORKED.fractions)) == d
 
 
 def test_montesinos_js_jx_pretzel_passthrough():

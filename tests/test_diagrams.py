@@ -1,18 +1,23 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import slopelab
 from slopelab.diagrams import (
+    Diagram,
+    _build_tangle,
     build_standard_diagram,
     crossing_signs,
-    pd_code,
-    planar_euler_check,
     twist_runs,
     writhe,
 )
 from slopelab.errors import MultiComponent
 from slopelab.knots import MontesinosKnot, PretzelKnot, parse_knot_spec
+from support import pd_code, planar_euler_check
 
 WORKED = MontesinosKnot.from_fractions(
     [
@@ -108,3 +113,29 @@ def test_mirror_negates_writhe():
             continue
         w = writhe(build_standard_diagram(knot))
         assert writhe(build_standard_diagram(knot.mirror())) == -w
+
+
+def test_diagram_checks_raise_value_error():
+    d = Diagram()
+    d.join((0, 0), (0, 2))
+    with pytest.raises(ValueError):
+        d.join((0, 2), (0, 1))
+    with pytest.raises(ValueError):
+        _build_tangle(Diagram(), [])
+
+
+def test_port_check_survives_optimize_flag():
+    code = (
+        "from slopelab.diagrams import Diagram\n"
+        "d = Diagram()\n"
+        "d.join((0, 0), (0, 2))\n"
+        "try:\n"
+        "    d.join((0, 2), (0, 1))\n"
+        "except ValueError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(slopelab.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.stdout.strip() == "raised", run.stderr

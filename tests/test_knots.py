@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from slopelab.diagrams import build_standard_diagram, writhe
 from slopelab.errors import (
     HypothesisViolation,
     MoreThanOneNegativeTangle,
@@ -33,7 +34,7 @@ WORKED = [
 def test_pretzel_basics():
     p = PretzelKnot((-7, 5, 7, 3, 5))
     assert p.m == 4
-    assert p.fractions() == (
+    assert p.fractions == (
         Fraction(-1, 7),
         Fraction(1, 5),
         Fraction(1, 7),
@@ -142,11 +143,13 @@ def test_associated_pretzel_of_pretzel_input():
     data = associated_pretzel(PretzelKnot((-7, 5, 7, 3, 5)))
     assert data.q == (-7, 5, 7, 3, 5)
     assert data.qprime == (0, 1, 1, 1, 1)
-    assert data.fractions == PretzelKnot((-7, 5, 7, 3, 5)).fractions()
+    assert data.fractions == PretzelKnot((-7, 5, 7, 3, 5)).fractions
 
 
 def test_associated_pretzel_plain_thirds():
-    data = associated_pretzel([Fraction(-1, 3), Fraction(1, 3), Fraction(1, 3)])
+    data = associated_pretzel(
+        MontesinosKnot.from_fractions([Fraction(-1, 3), Fraction(1, 3), Fraction(1, 3)])
+    )
     assert data.q == (-3, 3, 3)
     assert data.qprime == (0, 1, 1)
 
@@ -205,3 +208,43 @@ def test_check_strict_pretzel_failures(q, fragment):
     with pytest.raises(HypothesisViolation) as err:
         check_strict_pretzel(q)
     assert any(fragment in f for f in err.value.failures)
+
+
+def test_associated_pretzel_checks_the_expansions(monkeypatch):
+    import slopelab.knots
+
+    monkeypatch.setattr(slopelab.knots, "even_length_cfe", lambda r: [0, 3, 1])
+    with pytest.raises(ValueError):
+        associated_pretzel(PretzelKnot((-3, 3, 3)))
+
+
+def test_knot_record_matches_the_direct_computation():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    odd = st.integers(1, 5).map(lambda k: 2 * k + 1)
+    pretzel_specs = st.tuples(odd, st.sampled_from([2, 4])).flatmap(
+        lambda qm: st.lists(odd, min_size=qm[1], max_size=qm[1]).map(
+            lambda rest: "p:" + ",".join(map(str, [-qm[0]] + rest))
+        )
+    )
+    fraction = st.integers(2, 12).flatmap(
+        lambda d: st.integers(1, d - 1).map(lambda n: f"{n}/{d}")
+    )
+    montesinos_specs = st.lists(fraction, min_size=3, max_size=5).map(
+        lambda fr: "m:-" + ",".join(fr)
+    )
+
+    @hypothesis.settings(deadline=None, max_examples=60)
+    @hypothesis.given(st.one_of(pretzel_specs, montesinos_specs))
+    def check(spec):
+        try:
+            knot = parse_knot_spec(spec)
+        except (ValueError, NotAKnot, MoreThanOneNegativeTangle):
+            hypothesis.assume(False)
+        assert knot.writhe == writhe(build_standard_diagram(knot))
+        assert knot.associated == associated_pretzel(knot)
+        assert knot.diagram is knot.diagram
+        fresh = parse_knot_spec(spec)
+        assert knot == fresh and hash(knot) == hash(fresh)
+
+    check()

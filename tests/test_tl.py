@@ -19,7 +19,6 @@ from slopelab.tl import (
     _matching,
     _times_generator,
     colored_jones,
-    colored_jones_unknot,
     crossing_block,
     delta_n,
     jw_projector,
@@ -31,6 +30,7 @@ from slopelab.tl import (
     tl_multiply,
 )
 from slopelab.diagrams import over_diagonal, twist_runs
+from support import colored_jones_unknot
 
 
 def quantum_int(n):

@@ -297,3 +297,27 @@ def test_cli_jones(capsys):
     assert "color 2: degrees [2, 18]" in out
     assert "v^18 - v^10 - v^6 - v^2" in out
     assert "18 1" in out
+
+
+def test_verify_derives_the_knot_record_once(monkeypatch):
+    import slopelab.diagrams
+    import slopelab.knots
+
+    knot = parse_knot_spec(WORKED_SPEC)
+    built, associated = [], []
+    build = slopelab.diagrams.build_standard_diagram
+    associate = slopelab.knots.associated_pretzel
+
+    def counting_build(k):
+        built.append(k)
+        return build(k)
+
+    def counting_associate(k):
+        associated.append(k)
+        return associate(k)
+
+    monkeypatch.setattr(slopelab.diagrams, "build_standard_diagram", counting_build)
+    monkeypatch.setattr(slopelab.knots, "associated_pretzel", counting_associate)
+    assert verify(knot).passed
+    assert built.count(knot) == 1
+    assert associated == [knot]
