@@ -96,9 +96,10 @@ def bracket_sums(r) -> tuple[int, int, int]:
     Returns (even_sum, odd_sum, total): writing the expansion as
     [r[0], r[1], ..., r[l]], even_sum adds the r[j] with j even and
     j >= 4, odd_sum those with j odd and j >= 3.  Expansions shorter
-    than four entries give (0, 0, 0).
+    than four entries give (0, 0, 0).  An expansion given as a list or
+    tuple is read as it is.
     """
-    cf = even_length_cfe(r) if not isinstance(r, list) else list(r)
-    even_sum = sum(cf[j] for j in range(4, len(cf), 2))
-    odd_sum = sum(cf[j] for j in range(3, len(cf), 2))
+    cf = r if isinstance(r, (list, tuple)) else even_length_cfe(r)
+    even_sum = sum(cf[4::2])
+    odd_sum = sum(cf[3::2])
     return even_sum, odd_sum, even_sum + odd_sum

@@ -12,8 +12,9 @@ import argparse
 import json
 import sys
 
+from .degrees import exceptional_scan
 from .errors import SlopelabError
-from .qip import SeparableQuadratic, lattice_min, varpi
+from .qip import SeparableQuadratic, lattice_min
 from .tl import colored_jones
 from .knots import parse_knot_spec
 from .verify import scan, verify
@@ -71,11 +72,8 @@ def _cmd_verify(args) -> int:
 def _cmd_scan(args) -> int:
     counts = tuple(args.m) if args.m else (2,)
     if args.exceptional:
-        found = scan(
-            "exceptional",
-            q0_min=args.q0_min,
-            qi_max=args.qi_max,
-            tangle_counts=counts if args.m else (2, 3),
+        found = exceptional_scan(
+            q0_min=args.q0_min, qi_max=args.qi_max, ms=counts if args.m else (2, 3)
         )
         if not _json_only(args):
             for q in found:
@@ -85,7 +83,6 @@ def _cmd_scan(args) -> int:
             _write_json([list(q) for q in found], args.json)
         return 0
     reports = scan(
-        "pretzel",
         q0_min=args.q0_min,
         qi_max=args.qi_max,
         tangle_counts=counts,
@@ -117,7 +114,7 @@ def _cmd_qip(args) -> int:
         "minimizer": list(opt.minimizer),
         "value": int(opt.value),
         "certificate_checked": opt.certificate_checked,
-        "period": varpi(f),
+        "period": opt.period,
     }
     if not _json_only(args):
         print(f"minimizer {opt.minimizer}")

@@ -14,7 +14,7 @@ normalized Euler characteristic of a spanning surface, which is what
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -235,90 +235,47 @@ def pretzel_js_jx(q, strict: bool = True) -> DegreeQuadratic:
     )
 
 
-_TR_MOVES = ("TR1neg", "TR2neg", "TRpos")
-
-
-def tr_move_shift(move: str, r1: int, r2: Optional[int] = None) -> tuple[int, int]:
-    """Degree shift (n^2-coefficient, n-coefficient) of one twist-reduction move.
-
-    "TR1neg" absorbs a final negative twist region r: shift
-    (-r, 2(-r-1)).  "TR2neg" merges adjacent negative regions r1, r2:
-    shift (-(r1+r2), -2 r2).  "TRpos" merges adjacent positive regions:
-    shift (r1+r2, 2 r2).  Sign constraints are enforced.
-    """
-    if move not in _TR_MOVES:
-        raise ValueError(f"unknown move {move!r}; expected one of {_TR_MOVES}")
-    if move == "TR1neg":
-        if r2 is not None:
-            raise ValueError("TR1neg takes a single twist count")
-        if r1 >= 0:
-            raise HypothesisViolation([f"TR1neg needs a negative twist count, got {r1}"])
-        return (-r1, 2 * (-r1 - 1))
-    if r2 is None:
-        raise ValueError(f"{move} takes two twist counts")
-    if move == "TR2neg":
-        bad = [r for r in (r1, r2) if r >= 0]
-        if bad:
-            raise HypothesisViolation(
-                [f"TR2neg needs negative twist counts, got {r1}, {r2}"]
-            )
-        return (-(r1 + r2), -2 * r2)
-    bad = [r for r in (r1, r2) if r <= 0]
-    if bad:
-        raise HypothesisViolation([f"TRpos needs positive twist counts, got {r1}, {r2}"])
-    return (r1 + r2, 2 * r2)
+def _bracket_totals(data):
+    """Bracket sums (even, odd, total) of r0's expansion, and the same
+    three sums added up over the positive tangles' expansions."""
+    r0 = bracket_sums(data.cfes[0])
+    rest = [bracket_sums(cf) for cf in data.cfes[1:]]
+    return r0, tuple(map(sum, zip(*rest)))
 
 
 def tangle_reduction_total(data) -> tuple[int, int]:
     """Composite degree shift of the full twist-reduction sequence.
 
-    Sums ``tr_move_shift`` over the moves that reduce each tangle's
-    continued-fraction tail down to its two leading entries: positive
-    tangles absorb entry pairs via TRpos; a genuinely continued
-    negative tangle absorbs pairs via TR2neg and its last entry via
-    TR1neg.  Returns the total (n^2, n) coefficient pair.
+    The moves reduce each tangle's continued-fraction tail down to its
+    two leading entries.  A positive tangle absorbs its entry pairs,
+    each move shifting (n^2, n) by (r1 + r2, 2 r2); a genuinely
+    continued negative tangle r0 absorbs its pairs at (-(r1 + r2),
+    -2 r2) and its last entry r at (-r, 2(-r - 1)).  Summed over the
+    expansions these telescope to the bracket sums: with (e0, o0, t0)
+    those of r0 and o_i, t_i those of the positive tangles,
+
+        quad = -q0' - t0 + sum t_i
+        lin = 2 sum o_i + (0 if q0' == 0 else -2 - 2 q0' - 2 e0).
+
+    Returns the total (n^2, n) coefficient pair.
     """
-    quad = lin = 0
-    r0 = data.cfes[0]
-    if data.qprime[0] != 0:
-        a = r0[1:]
-        ell = len(a)
-        # pairs (a[j+2], a[j+1]) for odd j = 1, 3, ..., ell-3 (1-based)
-        for j in range(1, ell - 2, 2):
-            dq, dl = tr_move_shift("TR2neg", a[j + 1], a[j])
-            quad += dq
-            lin += dl
-        dq, dl = tr_move_shift("TR1neg", a[-1])
-        quad += dq
-        lin += dl
-    for cf in data.cfes[1:]:
-        a = cf[1:]
-        ell = len(a)
-        # pairs (a[j+2], a[j+1]) for even j = 2, 4, ..., ell-2 (1-based)
-        for j in range(2, ell - 1, 2):
-            dq, dl = tr_move_shift("TRpos", a[j + 1], a[j])
-            quad += dq
-            lin += dl
+    (e0, _, t0), (_, sum_o, sum_t) = _bracket_totals(data)
+    q0p = data.qprime[0]
+    quad = -q0p - t0 + sum_t
+    lin = 2 * sum_o + (0 if q0p == 0 else -2 - 2 * q0p - 2 * e0)
     return quad, lin
 
 
 def montesinos_corrections(knot) -> MontesinosCorrections:
     """Continued-fraction and writhe bookkeeping for a Montesinos knot."""
     data = knot.associated
-    e0, o0, t0 = bracket_sums(list(data.cfes[0]))
-    sum_shift = sum(cf[2] - 1 for cf in data.cfes[1:])
-    sum_e = sum_o = sum_t = 0
-    for cf in data.cfes[1:]:
-        e, o, t = bracket_sums(list(cf))
-        sum_e += e
-        sum_o += o
-        sum_t += t
+    (e0, o0, t0), (sum_e, sum_o, sum_t) = _bracket_totals(data)
     return MontesinosCorrections(
         q0_prime=data.qprime[0],
         r0_bracket=t0,
         r0_bracket_odd=o0,
         r0_bracket_even=e0,
-        sum_shift_minus_one=sum_shift,
+        sum_shift_minus_one=sum(qp - 1 for qp in data.qprime[1:]),
         sum_bracket=sum_t,
         sum_bracket_even=sum_e,
         sum_bracket_odd=sum_o,
@@ -332,19 +289,18 @@ def montesinos_js_jx(knot, strict: bool = True) -> DegreeQuadratic:
 
     Computes js/jx of the associated pretzel twist vector and applies
     the correction terms read off the continued-fraction tails and the
-    writhes of the two standard diagrams.  A pretzel passed in directly
-    has vanishing corrections and reproduces ``pretzel_js_jx``.
+    writhes of the two standard diagrams, ``knot.corrections``.  A
+    pretzel passed in directly has no corrections and returns
+    ``pretzel_js_jx`` of its twist vector.
     """
     base = pretzel_js_jx(knot.associated.q, strict=strict)
-    corr = montesinos_corrections(knot)
-    return DegreeQuadratic(
+    corr = knot.corrections
+    if corr is None:
+        return base
+    return replace(
+        base,
         js=base.js + corr.slope_shift,
         jx=base.jx + corr.euler_shift,
-        surface_hint=base.surface_hint,
-        case=base.case,
-        s=base.s,
-        s1=base.s1,
-        strict_ok=base.strict_ok,
         corrections=corr,
     )
 

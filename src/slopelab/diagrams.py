@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cfrac import even_length_cfe
 from .errors import MultiComponent
 from .knots import MontesinosKnot, PretzelKnot
 
@@ -42,16 +41,16 @@ def twist_runs(knot) -> list[list[tuple[str, int, int]]]:
     """Per-tangle build recipes [(axis, count, sense), ...].
 
     A pretzel tangle is one vertical run.  A fractional tangle follows
-    its even-length expansion [0, a1, ..., al] from the innermost term
-    outward: horizontal runs for even positions, vertical for odd.
+    its even-length expansion [0, a1, ..., al] (``knot.associated``)
+    from the innermost term outward: horizontal runs for even
+    positions, vertical for odd.
     """
     if isinstance(knot, PretzelKnot):
         return [[("v", abs(q), 1 if q > 0 else -1)] for q in knot.q]
     if not isinstance(knot, MontesinosKnot):
         raise TypeError(f"cannot build a diagram for {knot!r}")
     recipes = []
-    for r in knot.fractions:
-        cf = even_length_cfe(r)
+    for cf in knot.associated.cfes:
         runs = []
         for j in range(len(cf) - 1, 0, -1):
             axis = "h" if j % 2 == 0 else "v"
@@ -77,10 +76,6 @@ class Diagram:
             raise ValueError(f"port already used: {p} or {q}")
         self.edge[p] = q
         self.edge[q] = p
-
-    @property
-    def crossing_count(self) -> int:
-        return len(self.crossings)
 
 
 def _build_tangle(d: Diagram, runs):

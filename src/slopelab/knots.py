@@ -7,8 +7,9 @@ listed first.  ``normalize_reduced`` moves integer parts between
 tangles to reach that window without changing the total.
 
 Each knot object is also the record of its derived data: the
-associated pretzel, the standard diagram and its writhe are computed
-on first use and kept on the object.
+associated pretzel, the standard diagram and its writhe, and for a
+Montesinos knot the degree corrections, are computed on first use and
+kept on the object.
 """
 from __future__ import annotations
 
@@ -48,6 +49,7 @@ class PretzelKnot(_KnotRecord):
     """Vertical twist vector (q0, ..., qm), entries nonzero."""
 
     q: tuple[int, ...]
+    corrections = None  # a pretzel is its own associated pretzel
 
     def __post_init__(self):
         q = tuple(int(x) for x in self.q)
@@ -108,6 +110,13 @@ class MontesinosKnot(_KnotRecord):
         if classify(knot.fractions) != KNOT:
             raise NotAKnot(f"tangle fractions {reduced} close up into a link")
         return knot
+
+    @cached_property
+    def corrections(self):
+        """``degrees.montesinos_corrections`` of this knot, computed once."""
+        from . import degrees
+
+        return degrees.montesinos_corrections(self)
 
     @property
     def m(self) -> int:

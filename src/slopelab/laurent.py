@@ -200,13 +200,6 @@ class LaurentPoly:
     def __repr__(self):
         return f"LaurentPoly({self.coeffs!r})"
 
-    def to_json(self):
-        return {str(e): c for e, c in sorted(self.coeffs.items())}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls({int(e): c for e, c in data.items()})
-
 
 def format_poly(p: LaurentPoly) -> str:
     """Render like "v^18 - v^10 - v^6 - v^2", highest exponent first."""

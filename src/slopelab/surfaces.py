@@ -20,13 +20,11 @@ from math import gcd, lcm
 from typing import Optional
 
 from .cfrac import partial_evaluations
-from .degrees import montesinos_corrections
 from .errors import (
     AdjacencyViolation,
     NoSolution,
     UnsupportedEdgepathShape,
 )
-from .knots import PretzelKnot
 
 INCOMPRESSIBLE = "Incompressible"
 INCONCLUSIVE = "Inconclusive"
@@ -363,10 +361,8 @@ def build_reference_surface(knot) -> CandidateSurface:
     ]
     for cf, r in zip(data.cfes[1:], data.fractions[1:]):
         paths.append(_path_from_entries(_positive_tangle_entries(cf), r))
-    if isinstance(knot, PretzelKnot):
-        slope = Fraction(0)
-    else:
-        slope = montesinos_corrections(knot).slope_shift
+    corrections = knot.corrections
+    slope = Fraction(0) if corrections is None else corrections.slope_shift
     surface = CandidateSurface(
         edgepaths=tuple(paths),
         M=1,

@@ -19,7 +19,6 @@ from typing import Optional
 from .degrees import (
     SSTAR,
     DegreeQuadratic,
-    exceptional_scan,
     montesinos_js_jx,
     pretzel_js_jx,
     tangle_reduction_total,
@@ -311,25 +310,15 @@ def iter_strict_pretzels(q0_min: int, qi_max: int, tangle_counts=(2,)):
 
 
 def scan(
-    kind: str = "pretzel",
     *,
     q0_min: int = -9,
     qi_max: int = 9,
     tangle_counts=(2,),
     oracle_colors=None,
     force: bool = False,
-):
-    """Family-wide checks.
-
-    ``kind = "pretzel"`` verifies every strict twist vector in the box
-    and returns the reports; ``kind = "exceptional"`` returns the
-    twist vectors on the degenerate boundary (s >= 0 with s1 = 0)
-    instead.
-    """
-    if kind == "exceptional":
-        return exceptional_scan(q0_min=q0_min, qi_max=qi_max, ms=tuple(tangle_counts))
-    if kind != "pretzel":
-        raise ValueError(f"unknown scan kind: {kind!r}")
+) -> list[VerificationReport]:
+    """Verify every strict twist vector in the box that closes up into
+    a knot, and return the reports."""
     reports = []
     for q in iter_strict_pretzels(q0_min, qi_max, tangle_counts):
         knot = PretzelKnot(q)

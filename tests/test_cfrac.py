@@ -79,6 +79,7 @@ def test_bracket_sums_anchors():
 
 def test_bracket_sums_accepts_explicit_expansion():
     assert bracket_sums([0, -7, -9, -4, -1]) == (-1, -4, -5)
+    assert bracket_sums((0, -7, -9, -4, -1)) == (-1, -4, -5)
 
 
 def test_round_trip_many_random_rationals():

@@ -15,9 +15,8 @@ from slopelab.degrees import (
     pretzel_js_jx,
     s_and_s1,
     tangle_reduction_total,
-    tr_move_shift,
 )
-from slopelab.errors import HypothesisViolation, MultiComponent
+from slopelab.errors import HypothesisViolation, MultiComponent, NotAKnot
 from slopelab.knots import MontesinosKnot, PretzelKnot, associated_pretzel
 from slopelab.qip import maximize_degree
 
@@ -126,6 +125,61 @@ def test_delta_nk_matches_lattice_maximum():
             assert best == maximize_degree(q, n).value
 
 
+_TR_MOVES = ("TR1neg", "TR2neg", "TRpos")
+
+
+def tr_move_shift(move: str, r1: int, r2=None) -> tuple[int, int]:
+    """Degree shift (n^2-coefficient, n-coefficient) of one twist-reduction move.
+
+    "TR1neg" absorbs a final negative twist region r: shift
+    (-r, 2(-r-1)).  "TR2neg" merges adjacent negative regions r1, r2:
+    shift (-(r1+r2), -2 r2).  "TRpos" merges adjacent positive regions:
+    shift (r1+r2, 2 r2).  Sign constraints are enforced.
+    """
+    if move not in _TR_MOVES:
+        raise ValueError(f"unknown move {move!r}; expected one of {_TR_MOVES}")
+    if move == "TR1neg":
+        if r2 is not None:
+            raise ValueError("TR1neg takes a single twist count")
+        if r1 >= 0:
+            raise HypothesisViolation([f"TR1neg needs a negative twist count, got {r1}"])
+        return (-r1, 2 * (-r1 - 1))
+    if r2 is None:
+        raise ValueError(f"{move} takes two twist counts")
+    if move == "TR2neg":
+        if r1 >= 0 or r2 >= 0:
+            raise HypothesisViolation([f"TR2neg needs negative twist counts, got {r1}, {r2}"])
+        return (-(r1 + r2), -2 * r2)
+    if r1 <= 0 or r2 <= 0:
+        raise HypothesisViolation([f"TRpos needs positive twist counts, got {r1}, {r2}"])
+    return (r1 + r2, 2 * r2)
+
+
+def move_by_move_reduction_total(data) -> tuple[int, int]:
+    """Reference for ``tangle_reduction_total``: the moves one at a time.
+
+    Positive tangles absorb entry pairs via TRpos; a genuinely
+    continued negative tangle absorbs pairs via TR2neg and its last
+    entry via TR1neg.
+    """
+    quad = lin = 0
+    if data.qprime[0] != 0:
+        a = data.cfes[0][1:]
+        # pairs (a[j+2], a[j+1]) for odd j = 1, 3, ..., ell-3 (1-based)
+        for j in range(1, len(a) - 2, 2):
+            dq, dl = tr_move_shift("TR2neg", a[j + 1], a[j])
+            quad, lin = quad + dq, lin + dl
+        dq, dl = tr_move_shift("TR1neg", a[-1])
+        quad, lin = quad + dq, lin + dl
+    for cf in data.cfes[1:]:
+        a = cf[1:]
+        # pairs (a[j+2], a[j+1]) for even j = 2, 4, ..., ell-2 (1-based)
+        for j in range(2, len(a) - 1, 2):
+            dq, dl = tr_move_shift("TRpos", a[j + 1], a[j])
+            quad, lin = quad + dq, lin + dl
+    return quad, lin
+
+
 def test_tr_move_shift_values():
     assert tr_move_shift("TR1neg", -4) == (4, 6)
     assert tr_move_shift("TR2neg", -3, -2) == (5, 4)
@@ -156,6 +210,27 @@ def test_tangle_reduction_totals():
         [Fraction(-1, 3), Fraction(2, 7), Fraction(1, 4)]
     )
     assert tangle_reduction_total(associated_pretzel(special)) == (0, 0)
+
+
+def test_tangle_reduction_total_matches_the_moves():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    assert move_by_move_reduction_total(associated_pretzel(WORKED)) == (24, 32)
+    fraction = st.builds(
+        Fraction, st.integers(1, 400), st.integers(2, 400)
+    ).filter(lambda r: r < 1)
+
+    @hypothesis.settings(deadline=None, max_examples=200)
+    @hypothesis.given(fraction, st.lists(fraction, min_size=1, max_size=4))
+    def check(r0, rest):
+        try:
+            knot = MontesinosKnot.from_fractions([-r0] + rest)
+        except NotAKnot:
+            hypothesis.assume(False)
+        data = knot.associated
+        assert tangle_reduction_total(data) == move_by_move_reduction_total(data)
+
+    check()
 
 
 def test_montesinos_corrections_worked_example():

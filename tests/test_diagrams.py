@@ -43,13 +43,13 @@ FROZEN = [
 @pytest.mark.parametrize("spec, crossings, w", FROZEN)
 def test_frozen_crossings_and_writhes(spec, crossings, w):
     d = build_standard_diagram(parse_knot_spec(spec))
-    assert d.crossing_count == crossings
+    assert len(d.crossings) == crossings
     assert writhe(d) == w
 
 
 def test_worked_example_diagram():
     d = build_standard_diagram(WORKED)
-    assert d.crossing_count == 61
+    assert len(d.crossings) == 61
     assert writhe(d) == -43
     assert planar_euler_check(d)
 

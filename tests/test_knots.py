@@ -102,6 +102,29 @@ def test_normalize_reduced_random_preserves_total():
         done += 1
 
 
+def test_normalize_reduced_keeps_the_total():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # a reduced tangle fraction, then integer parts moved between tangles
+    reduced = st.integers(2, 12).flatmap(
+        lambda d: st.integers(1 - d, d - 1).filter(bool).map(lambda n: Fraction(n, d))
+    )
+    shifted = st.tuples(reduced, st.integers(-6, 6))
+
+    @hypothesis.settings(deadline=None, max_examples=200)
+    @hypothesis.given(st.lists(shifted, min_size=1, max_size=5))
+    def check(pairs):
+        shifts = [k for _, k in pairs]
+        shifts[-1] -= sum(shifts)
+        fr = [r + k for (r, _), k in zip(pairs, shifts)]
+        out = normalize_reduced(fr)
+        assert len(out) == len(fr)
+        assert sum(out) == sum(fr)
+        assert all(0 < abs(r) < 1 for r in out)
+
+    check()
+
+
 def test_montesinos_from_fractions_worked_example():
     k = MontesinosKnot.from_fractions(WORKED)
     assert k.fractions == tuple(WORKED)

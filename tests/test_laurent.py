@@ -109,9 +109,3 @@ def test_parse_format_round_trip_random():
     for _ in range(100):
         p = P({rng.randint(-20, 20): rng.randint(-30, 30) for _ in range(rng.randint(0, 6))})
         assert parse_poly(format_poly(p)) == p
-
-
-def test_json_round_trip():
-    p = P({-3: 4, 0: -2, 11: 1})
-    assert LaurentPoly.from_json(p.to_json()) == p
-    assert p.to_json() == {"-3": 4, "0": -2, "11": 1}

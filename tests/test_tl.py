@@ -597,6 +597,22 @@ def test_mirror_symmetry():
     ).mirror()
 
 
+def test_mirror_symmetry_random_pretzels():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    twist = st.integers(-5, 5).filter(bool)
+
+    @hypothesis.settings(deadline=None, max_examples=30)
+    @hypothesis.given(st.lists(twist, min_size=2, max_size=5))
+    def check(q):
+        knot = PretzelKnot(tuple(q))
+        hypothesis.assume(sum(map(abs, q)) <= 15 and knot.is_knot())
+        for n in (2, 3):
+            assert colored_jones(knot.mirror(), n) == colored_jones(knot, n).mirror()
+
+    check()
+
+
 def test_tangle_contraction_order_independent():
     for knot in (PretzelKnot((1, 1, 1)), PretzelKnot((-2, 3, 7))):
         for cable in (1, 2):

@@ -145,7 +145,7 @@ def test_report_json_montesinos_corrections():
 
 
 def test_scan_box_all_pass():
-    reports = scan("pretzel", q0_min=-5, qi_max=5)
+    reports = scan(q0_min=-5, qi_max=5)
     assert [r.knot for r in reports] == [
         "p:-5,3,3",
         "p:-5,3,5",
@@ -155,18 +155,6 @@ def test_scan_box_all_pass():
         "p:-3,5,5",
     ]
     assert all(r.passed for r in reports)
-
-
-def test_scan_exceptional_kinds():
-    assert scan("exceptional", q0_min=-9, qi_max=9, tangle_counts=(2, 3)) == [
-        (-3, 4, 7),
-        (-3, 5, 5),
-        (-2, 3, 5, 5),
-        (-2, 3, 7),
-    ]
-    assert scan("exceptional") == [(-3, 4, 7), (-3, 5, 5), (-2, 3, 7)]
-    with pytest.raises(ValueError):
-        scan("boundary")
 
 
 def test_iter_strict_pretzels_validation():
@@ -206,6 +194,17 @@ def test_cli_error_exits(capsys):
     assert cli.main(["jones", "p:1,1,1", "--n", "9"]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 4
+
+
+@pytest.mark.parametrize("spec", ["p:1,1,1", "p:-3,-1,1"])
+def test_cli_verify_checks_pretzel_hypotheses_first(spec, capsys):
+    # The +-1 entries fail the pretzel hypotheses before the associated
+    # pretzel, whose expansions cannot hold them, is ever read.
+    assert cli.main(["verify", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert captured.err.startswith("error: ")
 
 
 def test_cli_verify_json_file(tmp_path, capsys):
@@ -300,13 +299,15 @@ def test_cli_jones(capsys):
 
 
 def test_verify_derives_the_knot_record_once(monkeypatch):
+    import slopelab.degrees
     import slopelab.diagrams
     import slopelab.knots
 
     knot = parse_knot_spec(WORKED_SPEC)
-    built, associated = [], []
+    built, associated, corrected = [], [], []
     build = slopelab.diagrams.build_standard_diagram
     associate = slopelab.knots.associated_pretzel
+    correct = slopelab.degrees.montesinos_corrections
 
     def counting_build(k):
         built.append(k)
@@ -316,8 +317,16 @@ def test_verify_derives_the_knot_record_once(monkeypatch):
         associated.append(k)
         return associate(k)
 
+    def counting_correct(k):
+        corrected.append(k)
+        return correct(k)
+
     monkeypatch.setattr(slopelab.diagrams, "build_standard_diagram", counting_build)
     monkeypatch.setattr(slopelab.knots, "associated_pretzel", counting_associate)
+    monkeypatch.setattr(slopelab.degrees, "montesinos_corrections", counting_correct)
     assert verify(knot).passed
     assert built.count(knot) == 1
     assert associated == [knot]
+    assert corrected == [knot]
+    # the knot's own diagram and, for the corrections, its associated pretzel's
+    assert len(built) == 2
