@@ -112,7 +112,7 @@ def _cmd_qip(args) -> int:
     opt = lattice_min(f, args.t)
     payload = {
         "minimizer": list(opt.minimizer),
-        "value": int(opt.value),
+        "value": opt.value,
         "certificate_checked": opt.certificate_checked,
         "period": opt.period,
     }

@@ -28,35 +28,6 @@ from .knots import PretzelKnot, check_strict_pretzel
 SSTAR = "SStar"
 REFERENCE = "Reference"
 
-@dataclass(frozen=True)
-class StateParameters:
-    """Skein-state exponent vector k = (k0; k1, ..., km) at cable size n.
-
-    The state is *tight* when k0 equals the sum of the remaining
-    entries; only tight states can realize the extreme degree.
-    """
-
-    n: int
-    k: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", tuple(int(x) for x in self.k))
-        if len(self.k) < 2:
-            raise ValueError("state needs k0 and at least one positive-index entry")
-        if any(x < 0 or x > self.n for x in self.k):
-            raise ValueError(f"state entries must lie in 0..{self.n}")
-
-    @property
-    def k0(self) -> int:
-        return self.k[0]
-
-    @property
-    def rest(self) -> tuple[int, ...]:
-        return self.k[1:]
-
-    def is_tight(self) -> bool:
-        return self.k0 == sum(self.rest)
-
 
 @dataclass(frozen=True)
 class MontesinosCorrections:
@@ -144,30 +115,6 @@ def s_and_s1(q) -> tuple[Fraction, Fraction]:
     s = 1 + q0 + 1 / big_s
     s1 = sum(Fraction(qi + q0 - 2, qi - 1) for qi in rest) / big_s
     return s, s1
-
-
-def delta_nk(n: int, k: StateParameters, q) -> Fraction:
-    """Exact degree contribution of a tight skein state.
-
-    Evaluates -2 [ (q0+1)k0^2 + sum (qi-1)ki^2 + sum (-2+q0+qi)ki
-    - (n(n+2)/2) sum qi + (m-1)n ].
-    """
-    q = tuple(int(x) for x in q)
-    if len(k.k) != len(q):
-        raise ValueError("state vector and twist vector lengths differ")
-    if not k.is_tight():
-        raise ValueError(f"state {k.k} is not tight (k0 != sum of the rest)")
-    q0, rest = q[0], q[1:]
-    m = len(rest)
-    k0, krest = k.k0, k.rest
-    inner = (
-        Fraction((q0 + 1) * k0 * k0)
-        + sum((qi - 1) * ki * ki for qi, ki in zip(rest, krest))
-        + sum((-2 + q0 + qi) * ki for qi, ki in zip(rest, krest))
-        - Fraction(n * (n + 2), 2) * sum(q)
-        + (m - 1) * n
-    )
-    return -2 * inner
 
 
 def _case_and_hint(s: Fraction, s1: Fraction, m: int):
@@ -275,7 +222,7 @@ def montesinos_corrections(knot) -> MontesinosCorrections:
         r0_bracket=t0,
         r0_bracket_odd=o0,
         r0_bracket_even=e0,
-        sum_shift_minus_one=sum(qp - 1 for qp in data.qprime[1:]),
+        sum_shift_minus_one=data.inherited,
         sum_bracket=sum_t,
         sum_bracket_even=sum_e,
         sum_bracket_odd=sum_o,

@@ -189,11 +189,19 @@ class AssociatedPretzelData:
     def m(self) -> int:
         return len(self.q) - 1
 
+    @property
+    def inherited(self) -> int:
+        """Inherited-state shift: the sum of q'_i - 1 over the positive tangles."""
+        return sum(qp - 1 for qp in self.qprime[1:])
+
 
 def associated_pretzel(knot) -> AssociatedPretzelData:
     """Read the pretzel (q0, ..., qm) off the even-length expansions."""
     fractions = knot.fractions
     cfes = [even_length_cfe(r) for r in fractions]
+    for cf, r in zip(cfes, fractions):
+        if len(cf) == 1:
+            raise ValueError(f"integer tangle {r} has no associated pretzel entry")
     r0 = cfes[0]
     if len(r0) == 3 and r0[2] == -1:
         # r0 is exactly 1/q0; the expansion is [0, q0+1, -1]

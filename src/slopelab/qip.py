@@ -15,7 +15,6 @@ t-scan on top.  The case analysis of the real relaxation lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 
@@ -50,10 +49,8 @@ class SeparableQuadratic:
     def m(self) -> int:
         return len(self.a)
 
-    def value(self, x) -> Fraction:
-        return Fraction(
-            sum(ai * xi * xi + bi * xi for ai, bi, xi in zip(self.a, self.b, x))
-        )
+    def value(self, x) -> int:
+        return sum(ai * xi * xi + bi * xi for ai, bi, xi in zip(self.a, self.b, x))
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,7 @@ class LatticeOptimum:
     """
 
     minimizer: tuple[int, ...]
-    value: Fraction
+    value: int
     certificate_checked: bool
     period: int
 
@@ -134,7 +131,7 @@ def lattice_min(f: SeparableQuadratic, t: int) -> LatticeOptimum:
     period = varpi(f)
     if t == 0:
         zero = (0,) * f.m
-        return LatticeOptimum(zero, Fraction(0), True, period)
+        return LatticeOptimum(zero, 0, True, period)
     # Invariant: fewer than t marginals lie below lo + 1, at least t below hi + 1.
     lo = min(ai + bi for ai, bi in zip(f.a, f.b)) - 1
     hi = f.a[0] * (2 * t - 1) + f.b[0]
@@ -163,15 +160,17 @@ class DegreeMaximum:
 
     n: int
     t_star: int
-    value: Fraction
+    value: int
     k_star: tuple[int, ...]
 
 
 def maximize_degree(q, n: int) -> DegreeMaximum:
     """Maximize the tight-state degree over all totals t in 0..n.
 
-    Scans every t, solving the inner lattice minimization exactly with
-    ``lattice_min``, and keeps the smallest maximizing t.
+    A tight state (k0; k1, ..., km) with k0 = t = k1 + ... + km has degree
+    n(n+2) sum q - 2 [(q0+1) t^2 + sum (qi-1) ki^2 + sum (-2+q0+qi) ki + (m-1) n].
+    Scans every t, minimizing over k1..km exactly with ``lattice_min``,
+    and keeps the smallest maximizing t.
     """
     q = tuple(_integral(v, "twist entry") for v in q)
     n = _integral(n, "cable size")
@@ -190,8 +189,9 @@ def maximize_degree(q, n: int) -> DegreeMaximum:
     best = None
     for t in range(n + 1):
         opt = lattice_min(f, t)
-        q_of_t = (q0 + 1) * t * t + opt.value
-        delta = -2 * (q_of_t - Fraction(n * (n + 2), 2) * total_q + (m - 1) * n)
+        delta = n * (n + 2) * total_q - 2 * (
+            (q0 + 1) * t * t + opt.value + (m - 1) * n
+        )
         if best is None or delta > best[1]:
             best = (t, delta, opt.minimizer)
     t_star, value, k_star = best

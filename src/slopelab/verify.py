@@ -47,12 +47,6 @@ SCHEMA = "slopelab-report/1"
 _SMALL_DIAGRAM_CROSSINGS = 30
 
 
-def _json_number(x):
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else str(x)
-    return x
-
-
 def predicted_min_degree(knot, color: int) -> int:
     """Predicted minimal degree of the color-``color`` polynomial.
 
@@ -62,15 +56,13 @@ def predicted_min_degree(knot, color: int) -> int:
     """
     data = knot.associated
     n = color - 1
-    inherited = sum(qp - 1 for qp in data.qprime[1:])
     quad_shift, lin_shift = tangle_reduction_total(data)
-    top = (
+    return -(
         knot.writhe * (color * color - 1)
         + maximize_degree(data.q, n).value
-        + (inherited + quad_shift) * n * n
+        + (data.inherited + quad_shift) * n * n
         + lin_shift * n
     )
-    return -int(top) if top.denominator == 1 else -top
 
 
 @dataclass(frozen=True)
@@ -168,7 +160,7 @@ class VerificationReport:
                 "checks": {
                     str(c.color): {
                         "measured_min_degree": c.measured_min_degree,
-                        "predicted_min_degree": _json_number(c.predicted_min_degree),
+                        "predicted_min_degree": c.predicted_min_degree,
                         "match": c.match,
                     }
                     for c in self.oracle

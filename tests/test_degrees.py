@@ -7,8 +7,6 @@ import pytest
 from slopelab.degrees import (
     DegreeQuadratic,
     MontesinosCorrections,
-    StateParameters,
-    delta_nk,
     exceptional_scan,
     montesinos_corrections,
     montesinos_js_jx,
@@ -85,27 +83,24 @@ def test_pretzel_js_jx_base_hypotheses_never_forced():
             pretzel_js_jx(q, strict=False)
 
 
-def test_state_parameters_validation():
-    k = StateParameters(3, (3, 2, 1))
-    assert k.k0 == 3 and k.rest == (2, 1)
-    assert k.is_tight()
-    assert not StateParameters(2, (2, 2, 1)).is_tight()
-    with pytest.raises(ValueError):
-        StateParameters(2, (3,))
-    with pytest.raises(ValueError):
-        StateParameters(3, (3, 2, -1))
-    with pytest.raises(ValueError):
-        StateParameters(3, (3, 2, 5))
-    with pytest.raises(ValueError):
-        StateParameters(2, (3, 2, 1))
+def delta_nk(n, k, q):
+    """Reference: the tight-state degree as the paper writes it.
 
-
-def test_delta_nk_validation():
-    q = (-3, 3, 3)
-    with pytest.raises(ValueError):
-        delta_nk(2, StateParameters(2, (1, 1)), q)
-    with pytest.raises(ValueError):
-        delta_nk(2, StateParameters(2, (1, 0, 0)), q)
+    Evaluates -2 [ (q0+1)k0^2 + sum (qi-1)ki^2 + sum (-2+q0+qi)ki
+    - (n(n+2)/2) sum qi + (m-1)n ] in Fraction arithmetic for a tight
+    state k = (k0; k1, ..., km), k0 = k1 + ... + km.
+    """
+    q0, rest = q[0], q[1:]
+    k0, krest = k[0], k[1:]
+    assert k0 == sum(krest)
+    inner = (
+        Fraction((q0 + 1) * k0 * k0)
+        + sum((qi - 1) * ki * ki for qi, ki in zip(rest, krest))
+        + sum((-2 + q0 + qi) * ki for qi, ki in zip(rest, krest))
+        - Fraction(n * (n + 2), 2) * sum(q)
+        + (len(rest) - 1) * n
+    )
+    return -2 * inner
 
 
 def test_delta_nk_matches_lattice_maximum():
@@ -118,7 +113,7 @@ def test_delta_nk_matches_lattice_maximum():
         )
         for n in (1, 2, 3):
             best = max(
-                delta_nk(n, StateParameters(n, (sum(rest),) + rest), q)
+                delta_nk(n, (sum(rest),) + rest, q)
                 for rest in itertools.product(range(n + 1), repeat=m)
                 if sum(rest) <= n
             )
@@ -256,6 +251,51 @@ def test_montesinos_corrections_vanish_for_pretzels():
     assert corr.slope_shift == 0
     assert corr.euler_shift == 0
     assert corr.q0_prime == 0
+
+
+def test_montesinos_corrections_match_the_reduction_total():
+    """The corrections' shifts, restated over ``tangle_reduction_total``.
+
+    With A the twist-reduction n^2 shift plus the inherited-state shift,
+    the slope shift is A plus the writhe difference, the Euler shift is
+    the reduction's n shift minus 2A, and a strict pretzel diagram has
+    writhe -sum(q).  Each tangle is built around a chosen strict twist
+    entry: 1/(q_i - 1 + x) for x in (0, 1], and -1/(|q0| + x) for x in
+    [0, 1).
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    odd = st.integers(1, 5).map(lambda k: 2 * k + 1)
+    tail = st.integers(1, 12).flatmap(
+        lambda d: st.integers(1, d).map(lambda k: Fraction(k, d))
+    )
+
+    @hypothesis.settings(deadline=None, max_examples=100)
+    @hypothesis.given(
+        odd,
+        tail,
+        st.sampled_from([2, 4]).flatmap(
+            lambda m: st.lists(st.tuples(odd, tail), min_size=m, max_size=m)
+        ),
+    )
+    def check(b0, x0, positives):
+        q = (-b0,) + tuple(qi for qi, _ in positives)
+        fractions = [-1 / (b0 + 1 - x0)] + [1 / (qi - 1 + x) for qi, x in positives]
+        try:
+            knot = MontesinosKnot.from_fractions(fractions)
+        except NotAKnot:
+            hypothesis.assume(False)
+        data = knot.associated
+        assert data.q == q
+        quad, lin = tangle_reduction_total(data)
+        shift = quad + data.inherited
+        corr = knot.corrections
+        assert corr.slope_shift == shift + corr.writhe_knot - corr.writhe_pretzel
+        assert corr.euler_shift == lin - 2 * shift
+        assert corr.writhe_pretzel == -sum(q)
+        assert corr.writhe_knot == knot.writhe
+
+    check()
 
 
 def test_montesinos_js_jx_worked_example():

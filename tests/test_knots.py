@@ -186,6 +186,24 @@ def test_associated_pretzel_with_residual_entries():
     assert data.cfes == ((0, -2, -1), (0, 3, 2), (0, 3, 1))
 
 
+def test_associated_pretzel_rejects_integer_tangles():
+    from slopelab.degrees import montesinos_js_jx
+    from slopelab.surfaces import build_reference_surface
+    from slopelab.verify import predicted_min_degree
+
+    knot = parse_knot_spec("p:-3,-1,1")
+    assert knot.q == (-3, -1, 1)
+    assert knot.writhe == writhe(build_standard_diagram(knot))
+    for read in (
+        lambda: knot.associated,
+        lambda: predicted_min_degree(knot, 2),
+        lambda: montesinos_js_jx(knot),
+        lambda: build_reference_surface(knot),
+    ):
+        with pytest.raises(ValueError, match="integer tangle -1"):
+            read()
+
+
 def test_parse_knot_spec_round_trips():
     p = parse_knot_spec("p:-7,5,7,3,5")
     assert isinstance(p, PretzelKnot) and p.q == (-7, 5, 7, 3, 5)

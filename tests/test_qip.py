@@ -183,3 +183,15 @@ def test_maximize_degree_validation():
     for q, n in [((-3.5, 3, 3), 2), ((-3, 3, 3), 2.5)]:
         with pytest.raises(ValueError):
             maximize_degree(q, n)
+
+
+def test_degree_values_are_exact_ints():
+    from slopelab.knots import parse_knot_spec
+    from slopelab.verify import predicted_min_degree
+
+    f = SeparableQuadratic((1, 2), (0, 0))
+    assert type(f.value((2, 1))) is int
+    assert all(type(lattice_min(f, t).value) is int for t in (0, 3))
+    assert all(type(maximize_degree((-3, 3, 3), n).value) is int for n in (0, 2))
+    for spec in ("p:-3,5,5", "m:-1/3,2/7,1/4", "m:-46/327,35/151,5/31,16/35,1/5"):
+        assert type(predicted_min_degree(parse_knot_spec(spec), 3)) is int
