@@ -1,9 +1,11 @@
-"""Continued-fraction expansions of rationals, in two flavors.
+"""Continued-fraction expansions of rationals, one flavor per function.
 
-The "positive" flavor is r = b0 + 1/(b1 + 1/(... + 1/bl)), produced by
-truncation toward zero, so every partial quotient after b0 carries the
-sign of the fractional part.  The "negative" flavor evaluates
-r = b0 - 1/(b1 - 1/(...)).
+Expansions are "positive", r = b0 + 1/(b1 + 1/(... + 1/bl)), produced
+by truncation toward zero, so every partial quotient after b0 carries
+the sign of the fractional part; ``eval_cfe`` evaluates them.  The
+edge-path builders instead read "negative" expansions,
+r = b0 - 1/(b1 - 1/(...)), whose prefix values ``partial_evaluations``
+lists.
 
 Several consumers need the expansion of the tail to have even length
 (an even number of entries after b0); ``even_length_cfe`` pads with a
@@ -49,37 +51,21 @@ def even_length_cfe(r) -> list[int]:
     return cf[:-1] + [last + 1, -1]
 
 
-def eval_cfe(entries, flavor: str = "positive") -> Fraction:
-    """Evaluate a continued fraction.
-
-    flavor "positive": b0 + 1/(b1 + 1/(...));
-    flavor "negative": b0 - 1/(b1 - 1/(...)).
-    """
-    num, den = _continuants(entries, flavor)[-1]
-    if den == 0:
-        raise ZeroDivisionError(f"continued fraction {entries} diverges")
-    return Fraction(num, den)
+def eval_cfe(entries) -> Fraction:
+    """Evaluate b0 + 1/(b1 + 1/(...)); a zero denominator raises
+    ZeroDivisionError."""
+    return Fraction(*_continuants(entries, 1)[-1])
 
 
-def partial_evaluations(entries, flavor: str = "negative") -> list[Fraction]:
-    """Values of every prefix [b0..bk], shortest first."""
-    out = []
-    for num, den in _continuants(entries, flavor):
-        if den == 0:
-            raise ZeroDivisionError(f"prefix of {entries} diverges")
-        out.append(Fraction(num, den))
-    return out
+def partial_evaluations(entries) -> list[Fraction]:
+    """Values of every prefix of b0 - 1/(b1 - 1/(...)), shortest first;
+    a prefix with a zero denominator raises ZeroDivisionError."""
+    return [Fraction(num, den) for num, den in _continuants(entries, -1)]
 
 
-def _continuants(entries, flavor):
+def _continuants(entries, sign):
     if not entries:
         raise ValueError("empty continued fraction")
-    if flavor == "positive":
-        sign = 1
-    elif flavor == "negative":
-        sign = -1
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
     p_prev, q_prev = 1, 0
     p, q = entries[0], 1
     pairs = [(p, q)]

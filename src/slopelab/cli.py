@@ -14,7 +14,7 @@ import sys
 
 from .degrees import exceptional_scan
 from .errors import SlopelabError
-from .qip import SeparableQuadratic, lattice_min
+from .qip import SeparableQuadratic, lattice_min, varpi
 from .tl import colored_jones
 from .knots import parse_knot_spec
 from .verify import scan, verify
@@ -114,7 +114,7 @@ def _cmd_qip(args) -> int:
         "minimizer": list(opt.minimizer),
         "value": opt.value,
         "certificate_checked": opt.certificate_checked,
-        "period": opt.period,
+        "period": varpi(f),
     }
     if not _json_only(args):
         print(f"minimizer {opt.minimizer}")

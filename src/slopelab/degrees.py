@@ -143,14 +143,6 @@ def _base_hypotheses(q) -> list[str]:
     return failures
 
 
-def _strict_ok(q) -> bool:
-    try:
-        check_strict_pretzel(q)
-    except HypothesisViolation:
-        return False
-    return True
-
-
 def pretzel_js_jx(q, strict: bool = True) -> DegreeQuadratic:
     """Leading degree coefficients of a pretzel twist vector.
 
@@ -171,9 +163,13 @@ def pretzel_js_jx(q, strict: bool = True) -> DegreeQuadratic:
     if base_failures:
         # q0 < -1 < 1 < qi is needed for s/s1 to mean anything; never forced.
         raise HypothesisViolation(base_failures)
-    strict_ok = _strict_ok(q)
-    if strict and not strict_ok:
-        check_strict_pretzel(q)  # raises with the detailed failure list
+    strict_ok = True
+    try:
+        check_strict_pretzel(q)
+    except HypothesisViolation:
+        if strict:
+            raise
+        strict_ok = False
     s, s1 = s_and_s1(q)
     m = len(q) - 1
     case, hint, js, jx = _case_and_hint(s, s1, m)

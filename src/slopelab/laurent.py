@@ -1,56 +1,9 @@
 """Sparse Laurent polynomials in one variable v with integer coefficients.
 
-The degree of the zero polynomial is the sentinel ``NEG_INF``, which
-compares below every integer so that ``max(deg(p), deg(q))`` works
-without special-casing.
+The zero polynomial has no degree: ``degree()`` and ``min_degree()``
+raise ``ValueError`` on it, and callers test for zero first.
 """
 from __future__ import annotations
-
-import re
-
-
-class _NegInf:
-    """Sentinel that is smaller than every number."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return not isinstance(other, _NegInf)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _NegInf)
-
-    def __neg__(self):
-        raise ArithmeticError("cannot negate NEG_INF")
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "NEG_INF"
-
-
-NEG_INF = _NegInf()
-
-_TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?:(?P<coeff>\d+)\s*\*?\s*)?
-        (?:(?P<var>v)(?:\^(?P<exp>-?\d+))?)?\s*""",
-    re.VERBOSE,
-)
 
 
 class LaurentPoly:
@@ -162,10 +115,10 @@ class LaurentPoly:
         return res
 
     def degree(self):
-        return max(self.coeffs) if self.coeffs else NEG_INF
+        return max(self.coeffs)
 
     def min_degree(self):
-        return min(self.coeffs) if self.coeffs else NEG_INF
+        return min(self.coeffs)
 
     def mirror(self):
         """Substitute v -> v^-1."""
@@ -222,26 +175,3 @@ def format_poly(p: LaurentPoly) -> str:
         text += f" {sign} {body}"
     return text
 
-
-def parse_poly(text: str) -> LaurentPoly:
-    """Inverse of format_poly; also accepts things like "3v^-2 + 1"."""
-    out = {}
-    pos = 0
-    text = text.strip()
-    if text == "0":
-        return LaurentPoly()
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        coeff = int(m.group("coeff")) if m.group("coeff") else 1
-        if m.group("var"):
-            exp = int(m.group("exp")) if m.group("exp") is not None else 1
-        elif m.group("coeff"):
-            exp = 0
-        else:
-            raise ValueError(f"empty term near {text[pos:]!r}")
-        out[exp] = out.get(exp, 0) + sign * coeff
-        pos = m.end()
-    return LaurentPoly(out)

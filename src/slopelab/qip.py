@@ -59,15 +59,11 @@ class LatticeOptimum:
 
     ``certificate_checked`` records that the pairwise exchange
     certificate confirmed optimality beyond the greedy itself.
-    ``period`` is the quasi-period of the minimizer map
-    t -> x*(t): shifting t by it moves the minimizer by the fixed
-    vector of complementary products of a.
     """
 
     minimizer: tuple[int, ...]
     value: int
     certificate_checked: bool
-    period: int
 
 
 def _check_feasible(f: SeparableQuadratic, x, t):
@@ -104,7 +100,11 @@ def graver_certificate(f: SeparableQuadratic, x, t: int) -> bool:
 
 
 def varpi(f: SeparableQuadratic) -> int:
-    """Quasi-period: sum over i of the product of the other a_j."""
+    """Quasi-period: sum over i of the product of the other a_j.
+
+    Shifting t by it moves ``lattice_min``'s minimizer t -> x*(t) by
+    the fixed vector of complementary products of a.
+    """
     return sum(prod(f.a[j] for j in range(f.m) if j != i) for i in range(f.m))
 
 
@@ -128,10 +128,8 @@ def lattice_min(f: SeparableQuadratic, t: int) -> LatticeOptimum:
     t = _integral(t, "total")
     if t < 0:
         raise ValueError("total must be non-negative")
-    period = varpi(f)
     if t == 0:
-        zero = (0,) * f.m
-        return LatticeOptimum(zero, 0, True, period)
+        return LatticeOptimum((0,) * f.m, 0, True)
     # Invariant: fewer than t marginals lie below lo + 1, at least t below hi + 1.
     lo = min(ai + bi for ai, bi in zip(f.a, f.b)) - 1
     hi = f.a[0] * (2 * t - 1) + f.b[0]
@@ -147,7 +145,7 @@ def lattice_min(f: SeparableQuadratic, t: int) -> LatticeOptimum:
     for i in ties[len(ties) - (t - sum(x)):]:
         x[i] += 1
     x = tuple(x)
-    return LatticeOptimum(x, f.value(x), graver_certificate(f, x, t), period)
+    return LatticeOptimum(x, f.value(x), graver_certificate(f, x, t))
 
 
 @dataclass(frozen=True)

@@ -32,36 +32,24 @@ INCONCLUSIVE = "Inconclusive"
 
 @dataclass(frozen=True)
 class FareyVertex:
-    """A slope p/q with q >= 0 and gcd(p, q) = 1; infinity is 1/0."""
+    """A finite slope p/q with q >= 1 and gcd(p, q) = 1."""
 
     p: int
     q: int
 
     def __post_init__(self):
-        if self.q < 0:
-            raise ValueError(f"denominator must be non-negative: {self.p}/{self.q}")
+        if self.q < 1:
+            raise ValueError(f"denominator must be positive: {self.p}/{self.q}")
         if gcd(self.p, self.q) != 1:
             raise ValueError(f"slope {self.p}/{self.q} is not reduced")
-        if self.q == 0 and self.p != 1:
-            raise ValueError("infinity is written 1/0")
 
     @classmethod
     def from_fraction(cls, r) -> "FareyVertex":
         r = Fraction(r)
         return cls(r.numerator, r.denominator)
 
-    @classmethod
-    def infinity(cls) -> "FareyVertex":
-        return cls(1, 0)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.q == 0
-
     @property
     def value(self) -> Fraction:
-        if self.is_infinite:
-            raise UnsupportedEdgepathShape("the slope 1/0 has no finite value")
         return Fraction(self.p, self.q)
 
     def __str__(self) -> str:
@@ -69,8 +57,8 @@ class FareyVertex:
 
 
 def farey_adjacent(u: FareyVertex, v: FareyVertex) -> bool:
-    """Whether two slopes span an edge of the diagram (or coincide)."""
-    return u == v or abs(u.p * v.q - v.p * u.q) == 1
+    """Whether two slopes span an edge of the diagram."""
+    return abs(u.p * v.q - v.p * u.q) == 1
 
 
 @dataclass(frozen=True)
@@ -247,7 +235,7 @@ def _path_from_entries(entries, fraction, final_fraction=None, skip=0) -> EdgePa
     ``skip`` drops that many of the shortest partials (used to stop a
     ladder early); the full evaluation must equal ``fraction``.
     """
-    partials = partial_evaluations(entries, flavor="negative")
+    partials = partial_evaluations(entries)
     if partials[-1] != fraction:
         raise AdjacencyViolation(
             f"expansion {entries} evaluates to {partials[-1]}, expected {fraction}"
@@ -289,10 +277,7 @@ def _check_gluing(surface: CandidateSurface):
 
 
 def _final_rvalue(path: EdgePath) -> int:
-    prev, last = path.vertices[-2], path.vertices[-1]
-    if prev == last:
-        return 0
-    return abs(prev.q - last.q)
+    return abs(path.vertices[-2].q - path.vertices[-1].q)
 
 
 def build_sstar_surface(knot) -> CandidateSurface:
@@ -387,12 +372,6 @@ def twist_number(surface: CandidateSurface) -> Fraction:
         last = path.edge_count - 1
         for idx in range(path.edge_count):
             u, v = path.vertices[idx], path.vertices[idx + 1]
-            if u.is_infinite or v.is_infinite:
-                raise UnsupportedEdgepathShape(
-                    "twist numbers need finite slopes along the path"
-                )
-            if u == v:
-                continue
             sign = 1 if u.value > v.value else -1
             if path.final_fraction is not None and idx == last:
                 k, sheets = path.final_fraction
@@ -428,11 +407,6 @@ def euler_over_sheets(surface: CandidateSurface) -> Fraction:
     for path in surface.edgepaths:
         if path.edge_count < 1:
             raise UnsupportedEdgepathShape("constant edge-path")
-        for u, v in zip(path.vertices, path.vertices[1:]):
-            if u.is_infinite or v.is_infinite:
-                raise UnsupportedEdgepathShape("edge-path ends at 1/0")
-            if u == v:
-                raise UnsupportedEdgepathShape("constant edge")
         full += path.full_edge_count
         if path.final_fraction is not None:
             k, m_of_path = path.final_fraction

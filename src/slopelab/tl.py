@@ -241,21 +241,11 @@ def markov_closure(x: TLElement) -> LaurentPoly:
     if x.a != x.b:
         raise ValueError(f"cannot close a ({x.a}, {x.b}) element")
     size = x.a + x.b
+    # the closure, a (size, 0) matching, joins i and size - 1 - i
+    closure = tuple(range(size - 1, -1, -1))
     by_loops = {}
     for m, c in x.terms.items():
-        # the closure arc joins i and size - 1 - i; count the cycles
-        seen = [False] * size
-        loops = 0
-        for i in range(size):
-            if seen[i]:
-                continue
-            loops += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = m[j]
-                seen[j] = True
-                j = size - 1 - j
+        _, loops = _stack(m, closure, 0, size)
         s = by_loops.get(loops)
         by_loops[loops] = c if s is None else s + c
     total = LaurentPoly.zero()

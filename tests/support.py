@@ -1,9 +1,12 @@
 """Test-side helpers that the library itself does not need.
 
+``parse_poly`` reads a polynomial written by ``format_poly`` back in;
 ``planar_euler_check`` and ``pd_code`` read a standard diagram back in
 two independent ways; ``colored_jones_unknot`` evaluates the unknot on a
 crossingless round diagram, a reference value for the skein oracle.
 """
+import re
+
 from slopelab.diagrams import Diagram, _traverse, crossing_signs
 from slopelab.errors import ColorTooLarge
 from slopelab.laurent import LaurentPoly
@@ -85,3 +88,35 @@ def colored_jones_unknot(n: int, color_cap: int = DEFAULT_COLOR_CAP) -> LaurentP
     )
     value = markov_closure(element).exact_div(denom)
     return value if cable % 2 == 0 else value * -1
+
+
+_TERM_RE = re.compile(
+    r"""\s*(?P<sign>[+-])?\s*
+        (?:(?P<coeff>\d+)\s*\*?\s*)?
+        (?:(?P<var>v)(?:\^(?P<exp>-?\d+))?)?\s*""",
+    re.VERBOSE,
+)
+
+
+def parse_poly(text: str) -> LaurentPoly:
+    """Inverse of format_poly; also accepts things like "3v^-2 + 1"."""
+    out = {}
+    pos = 0
+    text = text.strip()
+    if text == "0":
+        return LaurentPoly()
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        if not m or m.end() == pos:
+            raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
+        sign = -1 if m.group("sign") == "-" else 1
+        coeff = int(m.group("coeff")) if m.group("coeff") else 1
+        if m.group("var"):
+            exp = int(m.group("exp")) if m.group("exp") is not None else 1
+        elif m.group("coeff"):
+            exp = 0
+        else:
+            raise ValueError(f"empty term near {text[pos:]!r}")
+        out[exp] = out.get(exp, 0) + sign * coeff
+        pos = m.end()
+    return LaurentPoly(out)

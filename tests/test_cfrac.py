@@ -44,27 +44,34 @@ def test_eval_cfe_positive():
 
 
 def test_eval_cfe_negative():
-    assert eval_cfe([0, -3], "negative") == Fraction(1, 3)
-    assert eval_cfe([1, 2, 2], "negative") == Fraction(1, 3)
-    assert eval_cfe([0, 7, -10, -2, -2, -2, -2], "negative") == Fraction(-46, 327)
-    assert eval_cfe([0, -5, -2, -2, -7, -2], "negative") == Fraction(35, 151)
-    assert eval_cfe([0, -3, -2, -2, -2, -2, -4], "negative") == Fraction(16, 35)
+    def value(entries):
+        return partial_evaluations(entries)[-1]
+
+    assert value([0, -3]) == Fraction(1, 3)
+    assert value([1, 2, 2]) == Fraction(1, 3)
+    assert value([0, 7, -10, -2, -2, -2, -2]) == Fraction(-46, 327)
+    assert value([0, -5, -2, -2, -7, -2]) == Fraction(35, 151)
+    assert value([0, -3, -2, -2, -2, -2, -4]) == Fraction(16, 35)
     # a ladder of -2s below -1 gives -1/(k+1)
     for k in range(1, 7):
-        assert eval_cfe([-1] + [-2] * k, "negative") == Fraction(-1, k + 1)
+        assert value([-1] + [-2] * k) == Fraction(-1, k + 1)
 
 
-def test_eval_cfe_rejects_unknown_flavor():
+def test_divergent_and_empty_expansions_raise():
+    with pytest.raises(ZeroDivisionError):
+        eval_cfe([0, 0])
+    with pytest.raises(ZeroDivisionError):
+        partial_evaluations([1, 0])
     with pytest.raises(ValueError):
-        eval_cfe([0, 2], "fancy")
+        eval_cfe([])
 
 
 def test_partial_evaluations_are_prefix_values():
     cf = [0, 7, -10, -2, -2, -2, -2]
-    vals = partial_evaluations(cf, "negative")
+    vals = partial_evaluations(cf)
     assert len(vals) == len(cf)
     for k, v in enumerate(vals):
-        assert v == eval_cfe(cf[: k + 1], "negative")
+        assert v == partial_evaluations(cf[: k + 1])[-1]
     assert vals[0] == 0
     assert vals[-1] == Fraction(-46, 327)
 

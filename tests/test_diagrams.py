@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -113,6 +114,30 @@ def test_mirror_negates_writhe():
             continue
         w = writhe(build_standard_diagram(knot))
         assert writhe(build_standard_diagram(knot.mirror())) == -w
+
+
+def pretzel_writhe(q):
+    """Closed-form writhe of the standard diagram of a pretzel knot."""
+    even = [i for i, qi in enumerate(q) if qi % 2 == 0]
+    if not even:
+        return -sum(q)
+    if len(q) % 2 == 0:
+        return sum(q)
+    (j,) = even
+    return sum(q) - 2 * q[j]
+
+
+def test_pretzel_writhe_closed_form():
+    entries = [v for v in range(-4, 5) if v]
+    checked = 0
+    for tangles in (3, 4):
+        for q in itertools.product(entries, repeat=tangles):
+            knot = PretzelKnot(q)
+            if not knot.is_knot():
+                continue
+            assert writhe(knot.diagram) == pretzel_writhe(q), q
+            checked += 1
+    assert checked == 1280
 
 
 def test_diagram_checks_raise_value_error():

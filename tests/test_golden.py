@@ -1,9 +1,8 @@
 """Golden-output gate: the CLI's stdout, stderr and exit codes are frozen.
 
-The fixtures under ``tests/data/`` were written by the CLI before the
-value layers lost their unreachable branches; a change that moves any
-byte of these outputs fails here.  The default ``scan --json -`` output
-(about 70 kB) is frozen by its sha256 instead of a file.
+The fixtures under ``tests/data/`` hold the exact CLI output; a change
+that moves any byte of it fails here.  The default ``scan --json -``
+output (about 70 kB) is frozen by its sha256 instead of a file.
 """
 import hashlib
 from pathlib import Path

@@ -1,9 +1,10 @@
-"""No library module imports a name it never uses.
+"""No library module imports a name it never uses, and every module
+parses as Python 3.10, the oldest version ``pyproject.toml`` allows.
 
-The check reads every module of ``src/slopelab`` except the package
-``__init__`` (whose imports are the public surface) with the standard
-``ast`` module.  An import line marked ``# noqa: F401`` is an intended
-re-export and is skipped, as a linter would skip it.
+The import check reads every module of ``src/slopelab`` except the
+package ``__init__`` (whose imports are the public surface) with the
+standard ``ast`` module.  An import line marked ``# noqa: F401`` is an
+intended re-export and is skipped, as a linter would skip it.
 """
 import ast
 import pathlib
@@ -44,3 +45,8 @@ def test_library_modules_use_every_import():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_library_modules_parse_as_python_3_10():
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

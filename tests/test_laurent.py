@@ -2,12 +2,8 @@ import random
 
 import pytest
 
-from slopelab.laurent import (
-    NEG_INF,
-    LaurentPoly,
-    format_poly,
-    parse_poly,
-)
+from slopelab.laurent import LaurentPoly, format_poly
+from support import parse_poly
 
 
 def P(d):
@@ -31,19 +27,12 @@ def test_degree_of_named_polynomial():
     assert p.min_degree() == 2
 
 
-def test_zero_degree_sentinel():
+def test_zero_polynomial_has_no_degree():
     z = LaurentPoly.zero()
-    assert z.degree() is NEG_INF
-    assert NEG_INF < -10**9
-    assert not (NEG_INF > 5)
-    assert max(NEG_INF, 3) == 3
-
-
-def test_sentinel_is_singleton_and_absorbing():
-    assert NEG_INF + 7 is NEG_INF
-    assert NEG_INF <= NEG_INF
-    with pytest.raises(ArithmeticError):
-        -NEG_INF
+    with pytest.raises(ValueError):
+        z.degree()
+    with pytest.raises(ValueError):
+        z.min_degree()
 
 
 def test_add_sub_cancelation():

@@ -63,7 +63,6 @@ def test_lattice_min_anchor():
     assert opt.minimizer == (2, 1)
     assert opt.value == 6
     assert opt.certificate_checked
-    assert opt.period == 3
     assert varpi(f) == 3
 
 
@@ -143,7 +142,6 @@ def test_lattice_min_quasi_period():
     for t in range(11):
         near, far = lattice_min(f, t), lattice_min(f, t + 5)
         assert far.minimizer == (near.minimizer[0] + 3, near.minimizer[1] + 2)
-        assert near.period == far.period == 5
 
 
 def test_maximize_degree_anchors():

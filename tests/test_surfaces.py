@@ -5,11 +5,7 @@ from fractions import Fraction
 import pytest
 
 from slopelab.degrees import s_and_s1
-from slopelab.errors import (
-    AdjacencyViolation,
-    NoSolution,
-    UnsupportedEdgepathShape,
-)
+from slopelab.errors import AdjacencyViolation, NoSolution
 from slopelab.knots import MontesinosKnot, PretzelKnot
 from slopelab.surfaces import (
     INCOMPRESSIBLE,
@@ -51,16 +47,12 @@ def test_farey_vertex_validation():
     assert (v.p, v.q) == (-1, 3)
     assert str(v) == "-1/3"
     assert v.value == Fraction(-1, 3)
-    inf = FareyVertex.infinity()
-    assert inf.is_infinite
-    with pytest.raises(UnsupportedEdgepathShape):
-        inf.value
     with pytest.raises(ValueError):
         FareyVertex(2, 4)
     with pytest.raises(ValueError):
         FareyVertex(1, -2)
     with pytest.raises(ValueError):
-        FareyVertex(3, 0)
+        FareyVertex(1, 0)
 
 
 def test_farey_adjacency():
@@ -70,8 +62,7 @@ def test_farey_adjacency():
     third = FareyVertex.from_fraction(Fraction(1, 3))
     assert farey_adjacent(zero, one)
     assert farey_adjacent(half, third)
-    assert farey_adjacent(zero, FareyVertex.infinity())
-    assert farey_adjacent(half, half)
+    assert not farey_adjacent(half, half)
     assert not farey_adjacent(zero, FareyVertex.from_fraction(Fraction(2, 5)))
 
 
@@ -93,6 +84,8 @@ def test_edge_path_validation():
                 FareyVertex.from_fraction(1),
             )
         )
+    with pytest.raises(AdjacencyViolation):
+        EdgePath((path.vertices[0], path.vertices[1], path.vertices[1]))
     with pytest.raises(ValueError):
         EdgePath(())
     with pytest.raises(ValueError):
@@ -247,21 +240,6 @@ def test_candidate_surface_validation():
         CandidateSurface(paths, 1, (0, 0, 0), None, (1, 1))
     with pytest.raises(ValueError):
         CandidateSurface(paths, 0, (0, 0, 0), None, (1, 1, 1))
-
-
-def test_twist_and_euler_reject_infinite_paths():
-    inf_path = EdgePath(
-        (
-            FareyVertex.from_fraction(Fraction(1, 3)),
-            FareyVertex.from_fraction(Fraction(0)),
-            FareyVertex.infinity(),
-        )
-    )
-    surface = CandidateSurface((inf_path,) * 3, 1, (0, 0, 0), None, (1, 1, 1))
-    with pytest.raises(UnsupportedEdgepathShape):
-        twist_number(surface)
-    with pytest.raises(UnsupportedEdgepathShape):
-        euler_over_sheets(surface)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 import slopelab
 from slopelab.errors import ColorTooLarge, InadmissibleTriple
 from slopelab.knots import MontesinosKnot, PretzelKnot, parse_knot_spec
-from slopelab.laurent import LaurentPoly, parse_poly
+from slopelab.laurent import LaurentPoly
 from slopelab.tl import (
     DEFAULT_COLOR_CAP,
     KAPPA,
@@ -31,7 +31,7 @@ from slopelab.tl import (
     tl_multiply,
 )
 from slopelab.diagrams import over_diagonal, twist_runs
-from support import colored_jones_unknot
+from support import colored_jones_unknot, parse_poly
 
 
 def quantum_int(n):
