@@ -5,7 +5,9 @@ by truncation toward zero, so every partial quotient after b0 carries
 the sign of the fractional part; ``eval_cfe`` evaluates them.  The
 edge-path builders instead read "negative" expansions,
 r = b0 - 1/(b1 - 1/(...)), whose prefix values ``partial_evaluations``
-lists.
+lists.  ``negative_cfe`` gives the floor-rounded one, every entry
+after b0 at most -2; its prefix values are the vertices of every
+edge-path, from b0 to r.
 
 Several consumers need the expansion of the tail to have even length
 (an even number of entries after b0); ``even_length_cfe`` pads with a
@@ -61,6 +63,20 @@ def partial_evaluations(entries) -> list[Fraction]:
     """Values of every prefix of b0 - 1/(b1 - 1/(...)), shortest first;
     a prefix with a zero denominator raises ZeroDivisionError."""
     return [Fraction(num, den) for num, den in _continuants(entries, -1)]
+
+
+def negative_cfe(r) -> list[int]:
+    """Entries [b0, b1, ...] of r = b0 - 1/(b1 - 1/(...)), each the floor
+    of what is left, so the last prefix value is r itself."""
+    r = Fraction(r)
+    p, q = r.numerator, r.denominator
+    out = []
+    while True:
+        b, rem = divmod(p, q)  # x = p/q, b = floor(x), rem/q = x - b
+        out.append(b)
+        if not rem:
+            return out
+        p, q = -q, rem  # 1/(b - x); the denominator falls every step
 
 
 def _continuants(entries, sign):

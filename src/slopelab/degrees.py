@@ -22,7 +22,7 @@ from .cfrac import bracket_sums
 # Kept as a module attribute: perfbench's tracer test checks that a name
 # bound here by ``from .diagrams import`` is wrapped where it is bound.
 from .diagrams import build_standard_diagram  # noqa: F401
-from .errors import HypothesisViolation
+from .errors import HypothesisViolation, NotAKnot
 from .knots import PretzelKnot, check_strict_pretzel
 
 SSTAR = "SStar"
@@ -212,6 +212,12 @@ def tangle_reduction_total(data) -> tuple[int, int]:
 def montesinos_corrections(knot) -> MontesinosCorrections:
     """Continued-fraction and writhe bookkeeping for a Montesinos knot."""
     data = knot.associated
+    pretzel = PretzelKnot(data.q)
+    if not pretzel.is_knot():
+        raise NotAKnot(
+            f"associated pretzel {pretzel.spec()} of {knot.spec()} closes up "
+            "into a link, which has no writhe"
+        )
     (e0, o0, t0), (sum_e, sum_o, sum_t) = _bracket_totals(data)
     return MontesinosCorrections(
         q0_prime=data.qprime[0],
@@ -222,7 +228,7 @@ def montesinos_corrections(knot) -> MontesinosCorrections:
         sum_bracket=sum_t,
         sum_bracket_even=sum_e,
         sum_bracket_odd=sum_o,
-        writhe_pretzel=PretzelKnot(data.q).writhe,
+        writhe_pretzel=pretzel.writhe,
         writhe_knot=knot.writhe,
     )
 

@@ -120,12 +120,6 @@ class LaurentPoly:
     def min_degree(self):
         return min(self.coeffs)
 
-    def mirror(self):
-        """Substitute v -> v^-1."""
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = {-e: c for e, c in self.coeffs.items()}
-        return res
-
     def exact_div(self, other):
         """Divide by ``other``, raising ArithmeticError unless exact."""
         if not other:

@@ -19,12 +19,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .cfrac import partial_evaluations
-from .errors import (
-    AdjacencyViolation,
-    NoSolution,
-    UnsupportedEdgepathShape,
-)
+from .cfrac import negative_cfe, partial_evaluations
+from .errors import AdjacencyViolation, NoSolution, UnsupportedEdgepathShape
 
 INCOMPRESSIBLE = "Incompressible"
 INCONCLUSIVE = "Inconclusive"
@@ -170,76 +166,13 @@ def sstar_vector(q) -> tuple[tuple[Fraction, ...], int, tuple[int, ...]]:
     return x, sheets, tuple(int(sheets * xi) for xi in x)
 
 
-def _sstar_negative_entries(cfe) -> list[int]:
-    """Ladder-flavor expansion of a negative tangle fraction.
-
-    From the even-length expansion [0, a1, ..., al] (all aj < 0) build
-    the all-negative chain [-1, -2 x (-a1-1), a2-2, -2 x (-a3-1), ...,
-    al-1] whose partial values descend the -1/k ladder before veering
-    off toward the tangle fraction.
-    """
-    a = list(cfe[1:])
-    ell = len(a)
-    entries = [-1] + [-2] * (-a[0] - 1)
-    for i in range(1, ell - 2, 2):
-        entries.append(a[i] - 2)
-        entries.extend([-2] * (-a[i + 1] - 1))
-    entries.append(a[-1] - 1)
-    return entries
-
-
-def _positive_tangle_entries(cfe) -> list[int]:
-    """Negative-flavor expansion of a positive tangle fraction.
-
-    From [0, a1, ..., al] (all aj > 0) build [0, -a1-1, -2 x (a2-1),
-    -a3-2, ..., -2 x (al-1)]; the partial values run from the tangle
-    fraction down through 1/q_i to 0.
-    """
-    a = list(cfe[1:])
-    ell = len(a)
-    entries = [0, -a[0] - 1]
-    for i in range(1, ell - 2, 2):
-        entries.extend([-2] * (a[i] - 1))
-        entries.append(-a[i + 1] - 2)
-    entries.extend([-2] * (a[-1] - 1))
-    return entries
-
-
-def _reference_negative_entries(cfe) -> list[int]:
-    """Negative-flavor expansion used by the reference path of r0.
-
-    The generic shape is [0, -a1, a2-1, -2 x (-a3-1), a4-2, ...,
-    al-1]; the boundary adjustments come from absorbing neighbor
-    blocks, so a length-one tail keeps its entry unchanged and the
-    exact-1/q0 case degenerates to the direct two-vertex descent.
-    """
-    a = list(cfe[1:])
-    ell = len(a)
-    if ell == 2 and a[1] == -1:
-        # r0 = 1/q0 with q0 = a1 - 1: single edge from 1/q0 to 0.
-        return [0, -(a[0] - 1)]
-    if ell == 2:
-        return [0, -a[0], a[1]]
-    entries = [0, -a[0], a[1] - 1]
-    for i in range(2, ell - 2, 2):
-        entries.extend([-2] * (-a[i] - 1))
-        entries.append(a[i + 1] - 2)
-    entries.extend([-2] * (-a[-2] - 1))
-    entries.append(a[-1] - 1)
-    return entries
-
-
-def _path_from_entries(entries, fraction, final_fraction=None, skip=0) -> EdgePath:
+def _path_from_entries(entries, final_fraction=None, skip=0) -> EdgePath:
     """Edge-path through the reversed partial values of ``entries``.
 
     ``skip`` drops that many of the shortest partials (used to stop a
-    ladder early); the full evaluation must equal ``fraction``.
+    ladder early).
     """
     partials = partial_evaluations(entries)
-    if partials[-1] != fraction:
-        raise AdjacencyViolation(
-            f"expansion {entries} evaluates to {partials[-1]}, expected {fraction}"
-        )
     kept = partials[skip:] if skip else partials
     vertices = tuple(FareyVertex.from_fraction(v) for v in reversed(kept))
     return EdgePath(vertices, final_fraction)
@@ -280,45 +213,43 @@ def _final_rvalue(path: EdgePath) -> int:
     return abs(path.vertices[-2].q - path.vertices[-1].q)
 
 
+def _ladder_depth(band: int, sheets: int) -> int:
+    """Least q >= 2 with K0 = band - sheets (q - 2) <= sheets; K0 >= 0."""
+    return max(2, 1 - (-band // sheets))  # 1 + ceil(band / sheets)
+
+
 def build_sstar_surface(knot) -> CandidateSurface:
     """The descending-ladder surface S(M, x*) of a knot.
 
-    Each positive tangle path runs from its fraction down to 1/q_i and
-    finishes with a fractional edge toward 0; the negative tangle path
-    descends the -1/k ladder and finishes with a fractional edge
-    between -1/q and -1/(q-1), where q and the arc count K0 solve
-    K0 + M(q-2) = K1(q1-1) with 0 <= K0 <= M.  That equation has a
-    solution exactly when s(q) <= 0.
+    Every path runs through the prefix values of ``negative_cfe`` of
+    its tangle fraction.  Each positive tangle path runs from its
+    fraction down to 1/q_i and finishes with a fractional edge toward
+    0; the negative tangle path descends the -1/k ladder from -1 and
+    finishes with a fractional edge between -1/q and -1/(q-1), where
+    q = max(2, 1 + ceil(B / M)) for the band count B = K1(q1-1), and
+    the arc count K0 = B - M(q-2) then lies in [0, M].  That depth is
+    at most -q0 exactly when s(q) <= 0.
     """
     data = knot.associated
     q = data.q
     x, sheets, karcs = sstar_vector(q)
     band = karcs[0] * (q[1] - 1)
-    ladder_q = None
-    for candidate in range(2, -q[0] + 1):
-        k0 = band - sheets * (candidate - 2)
-        if 0 <= k0 <= sheets:
-            ladder_q = candidate
-            break
-    if ladder_q is None:
+    ladder_q = _ladder_depth(band, sheets)
+    if ladder_q > -q[0]:
         raise NoSolution(
             f"no ladder depth 2 <= q <= {-q[0]} admits arc counts for {q}; "
             "the twist vector has s(q) > 0"
         )
+    k0 = band - sheets * (ladder_q - 2)
     paths = [
         _path_from_entries(
-            _sstar_negative_entries(data.cfes[0]),
-            data.fractions[0],
+            negative_cfe(data.fractions[0]),
             final_fraction=(k0, sheets),
             skip=ladder_q - 2,
         )
     ]
-    for cf, r, k in zip(data.cfes[1:], data.fractions[1:], karcs):
-        paths.append(
-            _path_from_entries(
-                _positive_tangle_entries(cf), r, final_fraction=(k, sheets)
-            )
-        )
+    for r, k in zip(data.fractions[1:], karcs):
+        paths.append(_path_from_entries(negative_cfe(r), final_fraction=(k, sheets)))
     surface = CandidateSurface(
         edgepaths=tuple(paths),
         M=sheets,
@@ -334,18 +265,18 @@ def build_reference_surface(knot) -> CandidateSurface:
     """The single-sheet reference surface R of a knot.
 
     Every path runs from its tangle fraction to 0 along complete
-    edges.  For a plain twist vector the paths are the direct descents
-    from 1/q_i, the surface is a Seifert surface, and its boundary
-    slope vanishes; for general tangle fractions the construction
-    resolves the negative twist region the opposite way and the
-    resulting slope offset is recorded in ``reference_slope``.
+    edges, through the prefix values of ``negative_cfe(r_i)`` for a
+    positive tangle and of [0] + ``negative_cfe(-1/r0)`` for the
+    negative one.  For a plain twist vector the paths are the direct
+    descents from 1/q_i, the surface is a Seifert surface, and its
+    boundary slope vanishes; for general tangle fractions the
+    construction resolves the negative twist region the opposite way
+    and the resulting slope offset is recorded in ``reference_slope``.
     """
     data = knot.associated
-    paths = [
-        _path_from_entries(_reference_negative_entries(data.cfes[0]), data.fractions[0])
-    ]
-    for cf, r in zip(data.cfes[1:], data.fractions[1:]):
-        paths.append(_path_from_entries(_positive_tangle_entries(cf), r))
+    paths = [_path_from_entries([0] + negative_cfe(-1 / data.fractions[0]))]
+    for r in data.fractions[1:]:
+        paths.append(_path_from_entries(negative_cfe(r)))
     corrections = knot.corrections
     slope = 0 if corrections is None else corrections.slope_shift
     surface = CandidateSurface(

@@ -11,7 +11,6 @@ three views, the comparisons, and a machine-readable JSON rendering;
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -171,9 +170,6 @@ class VerificationReport:
                 "constant_consistent": self.constant_consistent,
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def _requested_colors(oracle_colors) -> Optional[tuple[int, ...]]:

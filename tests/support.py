@@ -4,7 +4,12 @@
 ``planar_euler_check`` and ``pd_code`` read a standard diagram back in
 two independent ways; ``colored_jones_unknot`` evaluates the unknot on a
 crossingless round diagram, a reference value for the skein oracle.
+``mirror`` substitutes v -> v^-1 and ``report_json`` renders a report's
+JSON text.  The three ``_*_entries`` recipes and ``ladder_search`` are
+the earlier hand-derived edge-path expansions and ladder depth search,
+kept as a reference for ``negative_cfe`` and the closed-form depth.
 """
+import json
 import re
 
 from slopelab.diagrams import Diagram, _traverse, crossing_signs
@@ -120,3 +125,84 @@ def parse_poly(text: str) -> LaurentPoly:
         out[exp] = out.get(exp, 0) + sign * coeff
         pos = m.end()
     return LaurentPoly(out)
+
+
+def mirror(poly: LaurentPoly) -> LaurentPoly:
+    """Substitute v -> v^-1."""
+    return LaurentPoly({-e: c for e, c in poly.coeffs.items()})
+
+
+def report_json(report) -> str:
+    """The JSON text ``slopelab verify --json`` writes for a report."""
+    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+
+
+def _sstar_negative_entries(cfe) -> list[int]:
+    """Ladder-flavor expansion of a negative tangle fraction.
+
+    From the even-length expansion [0, a1, ..., al] (all aj < 0) build
+    the all-negative chain [-1, -2 x (-a1-1), a2-2, -2 x (-a3-1), ...,
+    al-1] whose partial values descend the -1/k ladder before veering
+    off toward the tangle fraction.
+    """
+    a = list(cfe[1:])
+    ell = len(a)
+    entries = [-1] + [-2] * (-a[0] - 1)
+    for i in range(1, ell - 2, 2):
+        entries.append(a[i] - 2)
+        entries.extend([-2] * (-a[i + 1] - 1))
+    entries.append(a[-1] - 1)
+    return entries
+
+
+def _positive_tangle_entries(cfe) -> list[int]:
+    """Negative-flavor expansion of a positive tangle fraction.
+
+    From [0, a1, ..., al] (all aj > 0) build [0, -a1-1, -2 x (a2-1),
+    -a3-2, ..., -2 x (al-1)]; the partial values run from the tangle
+    fraction down through 1/q_i to 0.
+    """
+    a = list(cfe[1:])
+    ell = len(a)
+    entries = [0, -a[0] - 1]
+    for i in range(1, ell - 2, 2):
+        entries.extend([-2] * (a[i] - 1))
+        entries.append(-a[i + 1] - 2)
+    entries.extend([-2] * (a[-1] - 1))
+    return entries
+
+
+def _reference_negative_entries(cfe) -> list[int]:
+    """Negative-flavor expansion used by the reference path of r0.
+
+    The generic shape is [0, -a1, a2-1, -2 x (-a3-1), a4-2, ...,
+    al-1]; the boundary adjustments come from absorbing neighbor
+    blocks, so a length-one tail keeps its entry unchanged and the
+    exact-1/q0 case degenerates to the direct two-vertex descent.
+    """
+    a = list(cfe[1:])
+    ell = len(a)
+    if ell == 2 and a[1] == -1:
+        # r0 = 1/q0 with q0 = a1 - 1: single edge from 1/q0 to 0.
+        return [0, -(a[0] - 1)]
+    if ell == 2:
+        return [0, -a[0], a[1]]
+    entries = [0, -a[0], a[1] - 1]
+    for i in range(2, ell - 2, 2):
+        entries.extend([-2] * (-a[i] - 1))
+        entries.append(a[i + 1] - 2)
+    entries.extend([-2] * (-a[-2] - 1))
+    entries.append(a[-1] - 1)
+    return entries
+
+
+def ladder_search(band: int, sheets: int, q0: int):
+    """The least ladder depth 2 <= q <= -q0 whose arc count
+    band - sheets (q - 2) lies in [0, sheets], or None."""
+    ladder_q = None
+    for candidate in range(2, -q0 + 1):
+        k0 = band - sheets * (candidate - 2)
+        if 0 <= k0 <= sheets:
+            ladder_q = candidate
+            break
+    return ladder_q

@@ -7,6 +7,7 @@ from slopelab.cfrac import (
     bracket_sums,
     eval_cfe,
     even_length_cfe,
+    negative_cfe,
     partial_evaluations,
     positive_cfe,
 )
@@ -47,14 +48,23 @@ def test_eval_cfe_negative():
     def value(entries):
         return partial_evaluations(entries)[-1]
 
-    assert value([0, -3]) == Fraction(1, 3)
-    assert value([1, 2, 2]) == Fraction(1, 3)
-    assert value([0, 7, -10, -2, -2, -2, -2]) == Fraction(-46, 327)
-    assert value([0, -5, -2, -2, -7, -2]) == Fraction(35, 151)
-    assert value([0, -3, -2, -2, -2, -2, -4]) == Fraction(16, 35)
+    # the floor-rounded expansions, as the positive and ladder paths read them
+    pairs = [
+        ([0, -3], Fraction(1, 3)),
+        ([0, -5, -2, -2, -7, -2], Fraction(35, 151)),
+        ([0, -3, -2, -2, -2, -2, -4], Fraction(16, 35)),
+    ]
     # a ladder of -2s below -1 gives -1/(k+1)
-    for k in range(1, 7):
-        assert value([-1] + [-2] * k) == Fraction(-1, k + 1)
+    pairs += [([-1] + [-2] * k, Fraction(-1, k + 1)) for k in range(1, 7)]
+    for entries, r in pairs:
+        assert value(entries) == r
+        assert negative_cfe(r) == entries
+    # the reference path of a negative tangle starts at 0 instead
+    entries = [0, 7, -10, -2, -2, -2, -2]
+    assert value(entries) == Fraction(-46, 327)
+    assert entries == [0] + negative_cfe(Fraction(327, 46))
+    # not every expansion rounds down: this one rounds up at b0
+    assert value([1, 2, 2]) == Fraction(1, 3)
 
 
 def test_divergent_and_empty_expansions_raise():
@@ -101,6 +111,9 @@ def test_round_trip_many_random_rationals():
         assert eval_cfe(cf) == r
         ecf = even_length_cfe(r)
         assert eval_cfe(ecf) == r
+        ncf = negative_cfe(r)
+        assert partial_evaluations(ncf)[-1] == r
+        assert all(b <= -2 for b in ncf[1:])
         if r.denominator > 1:
             assert len(ecf) % 2 == 1  # even tail
             assert abs(cf[-1]) >= 2

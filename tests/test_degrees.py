@@ -14,7 +14,7 @@ from slopelab.degrees import (
     s_and_s1,
     tangle_reduction_total,
 )
-from slopelab.errors import HypothesisViolation, MultiComponent, NotAKnot
+from slopelab.errors import HypothesisViolation, NotAKnot
 from slopelab.knots import MontesinosKnot, PretzelKnot, associated_pretzel
 from slopelab.qip import maximize_degree
 
@@ -320,10 +320,9 @@ def test_montesinos_forced_needs_knot_shaped_pretzel():
     )
     with pytest.raises(HypothesisViolation):
         montesinos_js_jx(special)
-    # The writhe correction reads the associated pretzel diagram, which
-    # only closes up into a single component under the odd-entry
-    # hypotheses; forcing cannot rescue that.
-    with pytest.raises(MultiComponent):
+    # The writhe correction reads the associated pretzel's writhe, and
+    # p:-3,4,4 is a two-component link; forcing cannot rescue that.
+    with pytest.raises(NotAKnot, match=r"p:-3,4,4 of m:-1/3,2/7,1/4"):
         montesinos_js_jx(special, strict=False)
 
 

@@ -1,9 +1,11 @@
 import dataclasses
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from slopelab.cfrac import even_length_cfe, negative_cfe
 from slopelab.degrees import s_and_s1
 from slopelab.errors import AdjacencyViolation, NoSolution
 from slopelab.knots import MontesinosKnot, PretzelKnot
@@ -24,7 +26,13 @@ from slopelab.surfaces import (
     sstar_vector,
     twist_number,
 )
-from slopelab.surfaces import _check_gluing
+from slopelab.surfaces import _check_gluing, _ladder_depth
+from support import (
+    _positive_tangle_entries,
+    _reference_negative_entries,
+    _sstar_negative_entries,
+    ladder_search,
+)
 
 WORKED = MontesinosKnot.from_fractions(
     [
@@ -206,6 +214,31 @@ def test_sstar_needs_deeper_ladder():
     r = build_reference_surface(PretzelKnot((-3, 5, 5)))
     assert twist_number(s) == twist_number(r)
     assert boundary_slope(s, r) == 0
+
+
+def test_negative_cfe_and_ladder_depth_match_the_hand_derived_recipes():
+    # every reduced p/q in (0, 1) with q <= 60, then a seeded sample with
+    # denominators up to 10^6; r is a positive tangle fraction, -r a
+    # negative one
+    rng = random.Random(11)
+    fractions = [
+        Fraction(p, q) for q in range(2, 61) for p in range(1, q) if gcd(p, q) == 1
+    ]
+    for _ in range(3000):
+        q = rng.randint(2, 10**6)
+        fractions.append(Fraction(rng.randint(1, q - 1), q))
+    for r in fractions:
+        assert negative_cfe(r) == _positive_tangle_entries(even_length_cfe(r))
+        cf0 = even_length_cfe(-r)
+        assert negative_cfe(-r) == _sstar_negative_entries(cf0)
+        assert [0] + negative_cfe(1 / r) == _reference_negative_entries(cf0)
+    for _ in range(3000):
+        band, sheets, q0 = rng.randint(0, 599), rng.randint(1, 59), rng.randint(-44, -2)
+        expected = ladder_search(band, sheets, q0)
+        if expected is None:
+            assert _ladder_depth(band, sheets) > -q0
+        else:
+            assert _ladder_depth(band, sheets) == expected
 
 
 def test_sstar_inconclusive_cycle():

@@ -15,6 +15,7 @@ from slopelab.verify import (
     scan,
     verify,
 )
+from support import report_json
 
 WORKED_SPEC = "m:-46/327,35/151,5/31,16/35,1/5"
 
@@ -116,8 +117,8 @@ def test_oversized_color_fails_before_any_work(monkeypatch, capsys):
 
 def test_report_json_round_trip():
     r = verify("p:-7,5,7,3,5")
-    text = r.to_json()
-    assert text == verify("p:-7,5,7,3,5").to_json()
+    text = report_json(r)
+    assert text == report_json(verify("p:-7,5,7,3,5"))
     data = json.loads(text)
     assert data["schema"] == SCHEMA
     assert data["pass"] is True
@@ -136,7 +137,7 @@ def test_report_json_round_trip():
 
 
 def test_report_json_montesinos_corrections():
-    data = json.loads(verify(WORKED_SPEC).to_json())
+    data = json.loads(report_json(verify(WORKED_SPEC)))
     corr = data["degree"]["corrections"]
     assert corr["writhe_knot"] == -43
     assert corr["writhe_pretzel"] == -13
@@ -205,6 +206,33 @@ def test_cli_verify_checks_pretzel_hypotheses_first(spec, capsys):
     assert captured.out == ""
     assert captured.err.count("error:") == 1
     assert captured.err.startswith("error: ")
+
+
+def test_cli_verify_link_associated_pretzel(monkeypatch, capsys):
+    # m:-1/3,2/7,1/4 is a knot, but its associated pretzel p:-3,4,4 is a
+    # two-component link, so the writhe correction is undefined.
+    import slopelab.diagrams
+
+    built = []
+    build = slopelab.diagrams.build_standard_diagram
+    monkeypatch.setattr(
+        slopelab.diagrams,
+        "build_standard_diagram",
+        lambda k: built.append(k) or build(k),
+    )
+    spec = "m:-1/3,2/7,1/4"
+    assert cli.main(["verify", spec, "--force"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: associated pretzel p:-3,4,4 of m:-1/3,2/7,1/4 closes up "
+        "into a link, which has no writhe\n"
+    )
+    assert built == []
+    # without --force the pretzel hypotheses refuse it first
+    assert cli.main(["verify", spec]) == 2
+    assert "twist 4 is even" in capsys.readouterr().err
+    assert built == []
 
 
 def test_cli_verify_json_file(tmp_path, capsys):
