@@ -92,16 +92,13 @@ def _continuants(entries, sign):
     return pairs
 
 
-def bracket_sums(r) -> tuple[int, int, int]:
-    """Tail sums of the even-length expansion of r.
+def bracket_sums(cf) -> tuple[int, int, int]:
+    """Tail sums of an even-length expansion [cf[0], cf[1], ..., cf[l]].
 
-    Returns (even_sum, odd_sum, total): writing the expansion as
-    [r[0], r[1], ..., r[l]], even_sum adds the r[j] with j even and
-    j >= 4, odd_sum those with j odd and j >= 3.  Expansions shorter
-    than four entries give (0, 0, 0).  An expansion given as a list or
-    tuple is read as it is.
+    Returns (even_sum, odd_sum, total): even_sum adds the cf[j] with j
+    even and j >= 4, odd_sum those with j odd and j >= 3.  Expansions
+    shorter than four entries give (0, 0, 0).
     """
-    cf = r if isinstance(r, (list, tuple)) else even_length_cfe(r)
     even_sum = sum(cf[4::2])
     odd_sum = sum(cf[3::2])
     return even_sum, odd_sum, even_sum + odd_sum

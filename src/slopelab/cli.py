@@ -45,7 +45,7 @@ def _print_report(report):
         + ("" if deg.strict_ok else "  [outside strict hypotheses]")
     )
     print(
-        f"surface: {report.selected}  M = {report.surface.M}  "
+        f"surface: {report.degree.surface_hint}  M = {report.surface.M}  "
         f"slope {report.slope}  2chi/M {report.euler}  {report.verdict}"
     )
     for check in report.oracle:

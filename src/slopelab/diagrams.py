@@ -3,8 +3,9 @@
 Every crossing is a small box with four ports in counterclockwise
 order NW(0), SW(1), SE(2), NE(3).  The two strands run along the
 diagonals: one through ports (0, 2), the other through (1, 3).
-Diagrams are assembled from twist runs in two directions: a vertical
-run stacks boxes southward, a horizontal run chains them eastward.
+Diagrams are assembled from the knot's ``twist_runs`` in two
+directions: a vertical run stacks boxes southward, a horizontal run
+chains them eastward.
 Tangles are then concatenated east to west and closed up around the
 outside.
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import MultiComponent
-from .knots import MontesinosKnot, PretzelKnot
 
 # Calibrated chirality constants.  over_diagonal 0 means the strand
 # through ports (0, 2) crosses over; 1 means the strand through (1, 3).
@@ -35,28 +35,6 @@ def over_diagonal(axis: str, sense: int) -> int:
     """Which diagonal is the over strand for a run crossing."""
     base = V_OVER_POS if axis == "v" else H_OVER_POS
     return base if sense > 0 else 1 - base
-
-
-def twist_runs(knot) -> list[list[tuple[str, int, int]]]:
-    """Per-tangle build recipes [(axis, count, sense), ...].
-
-    A pretzel tangle is one vertical run.  A fractional tangle follows
-    its even-length expansion [0, a1, ..., al] (``knot.associated``)
-    from the innermost term outward: horizontal runs for even
-    positions, vertical for odd.
-    """
-    if isinstance(knot, PretzelKnot):
-        return [[("v", abs(q), 1 if q > 0 else -1)] for q in knot.q]
-    if not isinstance(knot, MontesinosKnot):
-        raise TypeError(f"cannot build a diagram for {knot!r}")
-    recipes = []
-    for cf in knot.associated.cfes:
-        runs = []
-        for j in range(len(cf) - 1, 0, -1):
-            axis = "h" if j % 2 == 0 else "v"
-            runs.append((axis, abs(cf[j]), 1 if cf[j] > 0 else -1))
-        recipes.append(runs)
-    return recipes
 
 
 @dataclass
@@ -106,7 +84,7 @@ def _build_tangle(d: Diagram, runs):
 def build_standard_diagram(knot) -> Diagram:
     """Concatenate the tangles west to east and close up."""
     d = Diagram()
-    boundaries = [_build_tangle(d, runs) for runs in twist_runs(knot)]
+    boundaries = [_build_tangle(d, runs) for runs in knot.twist_runs]
     for left, right in zip(boundaries, boundaries[1:]):
         d.join(left[2], right[1])  # SE to SW
         d.join(left[3], right[0])  # NE to NW

@@ -43,7 +43,3 @@ class AdjacencyViolation(SlopelabError):
 
 class NoSolution(SlopelabError):
     """No candidate surface satisfies the gluing equations."""
-
-
-class UnsupportedEdgepathShape(SlopelabError):
-    """Edge-path system outside the shapes this package can measure."""

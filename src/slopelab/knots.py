@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from . import diagrams
 from .cfrac import even_length_cfe, eval_cfe
 from .errors import HypothesisViolation, MoreThanOneNegativeTangle, NotAKnot
 
@@ -33,14 +34,10 @@ class _KnotRecord:
 
     @cached_property
     def diagram(self):
-        from . import diagrams
-
         return diagrams.build_standard_diagram(self)
 
     @cached_property
     def writhe(self) -> int:
-        from . import diagrams
-
         return diagrams.writhe(self.diagram)
 
 
@@ -60,12 +57,13 @@ class PretzelKnot(_KnotRecord):
             raise ValueError("twist counts must be nonzero")
 
     @property
-    def m(self) -> int:
-        return len(self.q) - 1
-
-    @property
     def fractions(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(1, x) for x in self.q)
+
+    @property
+    def twist_runs(self) -> list[list[tuple[str, int, int]]]:
+        """Diagram recipes [(axis, count, sense)]: one vertical run per tangle."""
+        return [[("v", abs(q), 1 if q > 0 else -1)] for q in self.q]
 
     def is_knot(self) -> bool:
         return classify(self.fractions) == KNOT
@@ -119,8 +117,21 @@ class MontesinosKnot(_KnotRecord):
         return degrees.montesinos_corrections(self)
 
     @property
-    def m(self) -> int:
-        return len(self.fractions) - 1
+    def twist_runs(self) -> list[list[tuple[str, int, int]]]:
+        """Diagram recipes [(axis, count, sense), ...], one list per tangle.
+
+        Each tangle follows its even-length expansion [0, a1, ..., al]
+        from the innermost term outward: horizontal runs for even
+        positions, vertical for odd.
+        """
+        recipes = []
+        for cf in self.associated.cfes:
+            runs = []
+            for j in range(len(cf) - 1, 0, -1):
+                axis = "h" if j % 2 == 0 else "v"
+                runs.append((axis, abs(cf[j]), 1 if cf[j] > 0 else -1))
+            recipes.append(runs)
+        return recipes
 
     def spec(self) -> str:
         return "m:" + ",".join(str(r) for r in self.fractions)
@@ -184,10 +195,6 @@ class AssociatedPretzelData:
     qprime: tuple[int, ...]
     cfes: tuple[tuple[int, ...], ...]
     fractions: tuple[Fraction, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.q) - 1
 
     @property
     def inherited(self) -> int:
@@ -254,9 +261,8 @@ def parse_knot_spec(text: str):
 
 def require_knot(knot):
     """Raise NotAKnot when the model closes up into a link."""
-    fr = knot.fractions
-    if classify(fr) != KNOT:
-        raise NotAKnot(f"{fr} closes up into a link")
+    if classify(knot.fractions) != KNOT:
+        raise NotAKnot(f"{knot.spec()} closes up into a link")
 
 
 def check_strict_pretzel(q) -> None:

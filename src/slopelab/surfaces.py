@@ -1,65 +1,41 @@
 """Candidate spanning surfaces described by edge-paths between slopes.
 
 A tangle with fraction r determines paths in the Farey diagram: the
-vertices are slopes p/q, and two slopes span an edge exactly when
-|ps - rq| = 1.  A candidate spanning surface for a knot assembles one
-edge-path per tangle, all starting at the tangle fractions and running
-toward a common meeting slope, possibly ending in a partial ("fractional")
-edge shared between M sheets.  Two families are built here: the
-descending-ladder surface S(M, x*), whose sheet weights come from the
-simplex minimizer x*, and the single-sheet reference surface R.  Twist
-numbers of the paths give boundary slopes; a disk-and-band accounting
-gives Euler characteristics; and the cycle of final-edge denominator
-jumps ("r-values") feeds a sufficient incompressibility criterion.
+vertices are slopes p/q, held as ``Fraction``s, and two slopes span an
+edge exactly when |ps - rq| = 1.  A candidate spanning surface for a
+knot assembles one edge-path per tangle, all starting at the tangle
+fractions and running toward a common meeting slope, possibly ending
+in a partial ("fractional") edge shared between M sheets.  Two
+families are built here: the descending-ladder surface S(M, x*), whose
+sheet weights come from the simplex minimizer x*, and the single-sheet
+reference surface R.  Twist numbers of the paths give boundary slopes;
+a disk-and-band accounting gives Euler characteristics; and the cycle
+of final-edge denominator jumps ("r-values"), read off the paths,
+feeds a sufficient incompressibility criterion.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional
 
 from .cfrac import negative_cfe, partial_evaluations
-from .errors import AdjacencyViolation, NoSolution, UnsupportedEdgepathShape
+from .errors import AdjacencyViolation, NoSolution
 
 INCOMPRESSIBLE = "Incompressible"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class FareyVertex:
-    """A finite slope p/q with q >= 1 and gcd(p, q) = 1."""
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"denominator must be positive: {self.p}/{self.q}")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError(f"slope {self.p}/{self.q} is not reduced")
-
-    @classmethod
-    def from_fraction(cls, r) -> "FareyVertex":
-        r = Fraction(r)
-        return cls(r.numerator, r.denominator)
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
-    def __str__(self) -> str:
-        return f"{self.p}/{self.q}"
-
-
-def farey_adjacent(u: FareyVertex, v: FareyVertex) -> bool:
+def farey_adjacent(u: Fraction, v: Fraction) -> bool:
     """Whether two slopes span an edge of the diagram."""
-    return abs(u.p * v.q - v.p * u.q) == 1
+    return abs(u.numerator * v.denominator - v.numerator * u.denominator) == 1
 
 
 @dataclass(frozen=True)
 class EdgePath:
-    """An edge-path, listed from the tangle fraction toward its end.
+    """An edge-path of at least one edge, listed from the tangle
+    fraction toward its end; the vertices are ``Fraction`` slopes.
 
     ``final_fraction = (K, M)`` marks the last edge as partial: K of
     the M sheets stop at the second-to-last vertex and the remaining
@@ -67,13 +43,13 @@ class EdgePath:
     complete.
     """
 
-    vertices: tuple[FareyVertex, ...]
+    vertices: tuple[Fraction, ...]
     final_fraction: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        if not self.vertices:
-            raise ValueError("edge-path needs at least one vertex")
+        if len(self.vertices) < 2:
+            raise ValueError("edge-path needs an ending edge")
         for u, v in zip(self.vertices, self.vertices[1:]):
             if not farey_adjacent(u, v):
                 raise AdjacencyViolation(
@@ -84,8 +60,6 @@ class EdgePath:
             object.__setattr__(self, "final_fraction", (int(k), int(m)))
             if m < 1 or not 0 <= k <= m:
                 raise ValueError(f"bad final edge weight {k}/{m}")
-            if len(self.vertices) < 2:
-                raise ValueError("a fractional final edge needs two endpoints")
 
     @property
     def edge_count(self) -> int:
@@ -111,8 +85,9 @@ class CandidateSurface:
 
     ``K`` lists the per-tangle sheet counts (K0, K1, ..., Km) stopping
     early on fractional final edges (all zero for the reference
-    family), and ``q_negative`` the ladder depth parameter of the
-    negative tangle's final edge (None for the reference family).
+    family) and ``rvalues`` the final-edge denominator jumps; both are
+    read off the paths.  ``q_negative`` is the ladder depth parameter
+    of the negative tangle's final edge (None for the reference family).
     ``reference_slope`` is the boundary slope of this surface itself,
     known at construction time for reference surfaces; it is the
     offset ``boundary_slope`` adds when this surface serves as the
@@ -122,26 +97,30 @@ class CandidateSurface:
 
     edgepaths: tuple[EdgePath, ...]
     M: int
-    K: tuple[int, ...]
     q_negative: Optional[int]
-    rvalues: tuple[int, ...]
     reference_slope: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "edgepaths", tuple(self.edgepaths))
-        object.__setattr__(self, "K", tuple(int(k) for k in self.K))
         if len(self.edgepaths) < 3:
             raise ValueError("need at least three tangle edge-paths")
-        if len(self.K) != len(self.edgepaths):
-            raise ValueError("one sheet count per tangle required")
-        if len(self.rvalues) != len(self.edgepaths):
-            raise ValueError("one r-value per tangle required")
         if self.M < 1:
             raise ValueError("sheet count must be positive")
 
     @property
     def m(self) -> int:
         return len(self.edgepaths) - 1
+
+    @property
+    def K(self) -> tuple[int, ...]:
+        return tuple(
+            0 if p.final_fraction is None else p.final_fraction[0]
+            for p in self.edgepaths
+        )
+
+    @property
+    def rvalues(self) -> tuple[int, ...]:
+        return tuple(_final_rvalue(p) for p in self.edgepaths)
 
     @property
     def common_b(self) -> int:
@@ -172,18 +151,14 @@ def _path_from_entries(entries, final_fraction=None, skip=0) -> EdgePath:
     ``skip`` drops that many of the shortest partials (used to stop a
     ladder early).
     """
-    partials = partial_evaluations(entries)
-    kept = partials[skip:] if skip else partials
-    vertices = tuple(FareyVertex.from_fraction(v) for v in reversed(kept))
-    return EdgePath(vertices, final_fraction)
+    kept = partial_evaluations(entries)[skip:]
+    return EdgePath(tuple(reversed(kept)), final_fraction)
 
 
 def curve_coords(surface: CandidateSurface) -> tuple[CurveCoords, ...]:
     """Ending curve-system tallies (A, B, C) of each tangle's path."""
     out = []
-    for path, k in zip(surface.edgepaths, surface.K):
-        if len(path.vertices) < 2:
-            raise UnsupportedEdgepathShape("constant edge-path has no ending edge")
+    for path in surface.edgepaths:
         prev, last = path.vertices[-2], path.vertices[-1]
         if path.final_fraction is not None:
             arcs_prev, sheets = path.final_fraction
@@ -193,8 +168,9 @@ def curve_coords(surface: CandidateSurface) -> tuple[CurveCoords, ...]:
         out.append(
             CurveCoords(
                 A=sheets,
-                B=arcs_prev * (prev.q - 1) + arcs_last * (last.q - 1),
-                C=arcs_prev * prev.p + arcs_last * last.p,
+                B=arcs_prev * (prev.denominator - 1)
+                + arcs_last * (last.denominator - 1),
+                C=arcs_prev * prev.numerator + arcs_last * last.numerator,
             )
         )
     return tuple(out)
@@ -210,7 +186,7 @@ def _check_gluing(surface: CandidateSurface):
 
 
 def _final_rvalue(path: EdgePath) -> int:
-    return abs(path.vertices[-2].q - path.vertices[-1].q)
+    return abs(path.vertices[-2].denominator - path.vertices[-1].denominator)
 
 
 def _ladder_depth(band: int, sheets: int) -> int:
@@ -253,9 +229,7 @@ def build_sstar_surface(knot) -> CandidateSurface:
     surface = CandidateSurface(
         edgepaths=tuple(paths),
         M=sheets,
-        K=(k0,) + karcs,
         q_negative=ladder_q,
-        rvalues=tuple(_final_rvalue(p) for p in paths),
     )
     _check_gluing(surface)
     return surface
@@ -282,9 +256,7 @@ def build_reference_surface(knot) -> CandidateSurface:
     surface = CandidateSurface(
         edgepaths=tuple(paths),
         M=1,
-        K=(0,) * len(paths),
         q_negative=None,
-        rvalues=tuple(_final_rvalue(p) for p in paths),
         reference_slope=slope,
     )
     _check_gluing(surface)
@@ -303,7 +275,7 @@ def twist_number(surface: CandidateSurface) -> Fraction:
         last = path.edge_count - 1
         for idx in range(path.edge_count):
             u, v = path.vertices[idx], path.vertices[idx + 1]
-            sign = 1 if u.value > v.value else -1
+            sign = 1 if u > v else -1
             if path.final_fraction is not None and idx == last:
                 k, sheets = path.final_fraction
                 total += sign * Fraction(sheets - k, sheets)
@@ -336,8 +308,6 @@ def euler_over_sheets(surface: CandidateSurface) -> Fraction:
     full = 0
     partial_bands = 0
     for path in surface.edgepaths:
-        if path.edge_count < 1:
-            raise UnsupportedEdgepathShape("constant edge-path")
         full += path.full_edge_count
         if path.final_fraction is not None:
             k, m_of_path = path.final_fraction

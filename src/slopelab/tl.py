@@ -36,8 +36,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .diagrams import over_diagonal, twist_runs
+from .diagrams import over_diagonal
 from .errors import ColorTooLarge, InadmissibleTriple
+from .knots import require_knot
 from .laurent import LaurentPoly
 
 # Smoothing weight of a crossing whose over strand runs along the
@@ -405,7 +406,7 @@ def theta(a: int, b: int, c: int) -> LaurentPoly:
 def _projected_bracket(knot, cable: int) -> LaurentPoly:
     """Kauffman bracket of the cable with one projector inserted."""
     element = TLElement.identity(2 * cable)
-    for runs in twist_runs(knot):
+    for runs in knot.twist_runs:
         # a braid word is stacked onto the running element directly
         if _is_braid_like(runs):
             for axis, count, sense in runs:
@@ -425,6 +426,7 @@ def colored_jones(knot, n: int, color_cap: int = DEFAULT_COLOR_CAP) -> LaurentPo
         raise ValueError("color must be at least 1")
     if n > color_cap:
         raise ColorTooLarge(f"color {n} exceeds cap {color_cap}")
+    require_knot(knot)
     cable = n - 1
     if cable == 0:
         return LaurentPoly.one()

@@ -87,7 +87,6 @@ class VerificationReport:
     degree: DegreeQuadratic
     surface: CandidateSurface
     reference: CandidateSurface
-    selected: str
     tw_surface: Fraction
     tw_reference: Fraction
     slope: Fraction
@@ -113,7 +112,7 @@ class VerificationReport:
         for path in self.surface.edgepaths:
             paths.append(
                 {
-                    "vertices": [str(v) for v in path.vertices],
+                    "vertices": [f"{v.numerator}/{v.denominator}" for v in path.vertices],
                     "final_fraction": (
                         list(path.final_fraction)
                         if path.final_fraction is not None
@@ -139,7 +138,7 @@ class VerificationReport:
                 "corrections": corrections,
             },
             "surface": {
-                "selected": self.selected,
+                "selected": deg.surface_hint,
                 "M": self.surface.M,
                 "K": list(self.surface.K),
                 "q_negative": self.surface.q_negative,
@@ -213,10 +212,8 @@ def verify(knot_spec, oracle_colors=None, force: bool = False) -> VerificationRe
 
     reference = build_reference_surface(knot)
     if degree.surface_hint == SSTAR:
-        selected = "SStar"
         surface = build_sstar_surface(knot)
     else:
-        selected = "Reference"
         surface = reference
     tw_surface = twist_number(surface)
     tw_reference = twist_number(reference)
@@ -264,7 +261,6 @@ def verify(knot_spec, oracle_colors=None, force: bool = False) -> VerificationRe
         degree=degree,
         surface=surface,
         reference=reference,
-        selected=selected,
         tw_surface=tw_surface,
         tw_reference=tw_reference,
         slope=slope,

@@ -87,11 +87,11 @@ def test_partial_evaluations_are_prefix_values():
 
 
 def test_bracket_sums_anchors():
-    assert bracket_sums(Fraction(63, 202)) == (6, 2, 8)
-    assert bracket_sums(Fraction(-46, 327)) == (-1, -4, -5)
-    assert bracket_sums(Fraction(1, 5)) == (0, 0, 0)
-    assert bracket_sums(Fraction(35, 151)) == (2, 5, 7)
-    assert bracket_sums(Fraction(16, 35)) == (1, 2, 3)
+    assert bracket_sums(even_length_cfe(Fraction(63, 202))) == (6, 2, 8)
+    assert bracket_sums(even_length_cfe(Fraction(-46, 327))) == (-1, -4, -5)
+    assert bracket_sums(even_length_cfe(Fraction(1, 5))) == (0, 0, 0)
+    assert bracket_sums(even_length_cfe(Fraction(35, 151))) == (2, 5, 7)
+    assert bracket_sums(even_length_cfe(Fraction(16, 35))) == (1, 2, 3)
 
 
 def test_bracket_sums_accepts_explicit_expansion():

@@ -13,7 +13,6 @@ from slopelab.diagrams import (
     _build_tangle,
     build_standard_diagram,
     crossing_signs,
-    twist_runs,
     writhe,
 )
 from slopelab.errors import MultiComponent
@@ -56,7 +55,7 @@ def test_worked_example_diagram():
 
 
 def test_twist_runs_pretzel():
-    assert twist_runs(PretzelKnot((-7, 5, 7, 3, 5))) == [
+    assert PretzelKnot((-7, 5, 7, 3, 5)).twist_runs == [
         [("v", 7, -1)],
         [("v", 5, 1)],
         [("v", 7, 1)],
@@ -66,7 +65,7 @@ def test_twist_runs_pretzel():
 
 
 def test_twist_runs_expansion():
-    runs = twist_runs(WORKED)
+    runs = WORKED.twist_runs
     # 35/151 expands as alternating nested twist regions, innermost first.
     assert runs[1] == [("h", 2, 1), ("v", 5, 1), ("h", 3, 1), ("v", 4, 1)]
     assert runs[0] == [("h", 1, -1), ("v", 4, -1), ("h", 9, -1), ("v", 7, -1)]

@@ -33,7 +33,7 @@ WORKED = [
 
 def test_pretzel_basics():
     p = PretzelKnot((-7, 5, 7, 3, 5))
-    assert p.m == 4
+    assert len(p.q) == 5
     assert p.fractions == (
         Fraction(-1, 7),
         Fraction(1, 5),
@@ -128,7 +128,7 @@ def test_normalize_reduced_keeps_the_total():
 def test_montesinos_from_fractions_worked_example():
     k = MontesinosKnot.from_fractions(WORKED)
     assert k.fractions == tuple(WORKED)
-    assert k.m == 4
+    assert len(k.fractions) == 5
     assert k.spec() == "m:-46/327,35/151,5/31,16/35,1/5"
 
 
@@ -159,7 +159,7 @@ def test_associated_pretzel_worked_example():
         (0, 2, 5, 2, 1),
         (0, 4, 1),
     )
-    assert data.m == 4
+    assert len(data.q) == 5
 
 
 def test_associated_pretzel_of_pretzel_input():
@@ -225,7 +225,7 @@ def test_parse_knot_spec_rejects(text):
 
 def test_require_knot():
     require_knot(PretzelKnot((-2, 3, 7)))
-    with pytest.raises(NotAKnot):
+    with pytest.raises(NotAKnot, match=r"^p:-2,3,4 closes up into a link$"):
         require_knot(PretzelKnot((-2, 3, 4)))
 
 

@@ -30,7 +30,7 @@ from slopelab.tl import (
     theta,
     tl_multiply,
 )
-from slopelab.diagrams import over_diagonal, twist_runs
+from slopelab.diagrams import over_diagonal
 from support import colored_jones_unknot, mirror, parse_poly
 
 
@@ -680,7 +680,7 @@ def test_mirror_symmetry_random_pretzels():
 def test_tangle_contraction_order_independent():
     for knot in (PretzelKnot((1, 1, 1)), PretzelKnot((-2, 3, 7))):
         for cable in (1, 2):
-            blocks = [tangle_element(runs, cable) for runs in twist_runs(knot)]
+            blocks = [tangle_element(runs, cable) for runs in knot.twist_runs]
             left = blocks[0]
             for b in blocks[1:]:
                 left = tl_multiply(left, b)

@@ -23,7 +23,7 @@ WORKED_SPEC = "m:-46/327,35/151,5/31,16/35,1/5"
 def test_verify_big_pretzel_report():
     r = verify("p:-7,5,7,3,5")
     assert r.passed and r.reasons == ()
-    assert (r.family, r.forced, r.selected) == ("pretzel", False, "SStar")
+    assert (r.family, r.forced, r.degree.surface_hint) == ("pretzel", False, "SStar")
     assert r.verdict == "Incompressible"
     assert (r.crossings, r.writhe) == (27, -13)
     assert r.slope == r.degree.js == Fraction(72, 7)
@@ -324,6 +324,21 @@ def test_cli_jones(capsys):
     assert "color 2: degrees [2, 18]" in out
     assert "v^18 - v^10 - v^6 - v^2" in out
     assert "18 1" in out
+
+
+def test_cli_jones_link_fails_before_the_state_sum(monkeypatch, capsys):
+    import slopelab.tl
+
+    calls = []
+    multiply = slopelab.tl.tl_multiply
+    monkeypatch.setattr(
+        slopelab.tl, "tl_multiply", lambda x, y: calls.append(1) or multiply(x, y)
+    )
+    assert cli.main(["jones", "p:2,2", "--n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: p:2,2 closes up into a link\n"
+    assert calls == []
 
 
 def test_verify_derives_the_knot_record_once(monkeypatch):
