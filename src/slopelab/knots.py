@@ -91,22 +91,16 @@ class MontesinosKnot(_KnotRecord):
         negatives = sum(r < 0 for r in fr)
         if negatives != 1 or fr[0] > 0:
             raise MoreThanOneNegativeTangle(
-                f"expected exactly one negative fraction, first: {fr}"
+                f"{self.spec()} has {negatives} negative tangles; "
+                "expected one, listed first"
             )
 
     @classmethod
     def from_fractions(cls, fractions) -> "MontesinosKnot":
         """Normalize arbitrary fractions and put the negative first."""
         reduced = normalize_reduced(fractions)
-        negatives = [r for r in reduced if r < 0]
-        if len(negatives) != 1:
-            raise MoreThanOneNegativeTangle(
-                f"{len(negatives)} negative tangles after normalization: {reduced}"
-            )
-        ordered = negatives + [r for r in reduced if r > 0]
-        knot = cls(tuple(ordered))
-        if classify(knot.fractions) != KNOT:
-            raise NotAKnot(f"tangle fractions {reduced} close up into a link")
+        knot = cls(tuple(sorted(reduced, key=lambda r: r > 0)))
+        require_knot(knot)
         return knot
 
     @cached_property
@@ -177,8 +171,6 @@ def normalize_reduced(fractions) -> tuple[Fraction, ...]:
         fr[lo] += 1
         if fr[hi] == 0 or fr[lo] == 0:
             raise ValueError(f"normalization of {tuple(fractions)} hits a zero tangle")
-    else:
-        raise ValueError(f"{tuple(fractions)} has no reduced representative")
     raise ValueError(f"{tuple(fractions)} has no reduced representative")
 
 

@@ -4,8 +4,9 @@ A tangle with fraction r determines paths in the Farey diagram: the
 vertices are slopes p/q, held as ``Fraction``s, and two slopes span an
 edge exactly when |ps - rq| = 1.  A candidate spanning surface for a
 knot assembles one edge-path per tangle, all starting at the tangle
-fractions and running toward a common meeting slope, possibly ending
-in a partial ("fractional") edge shared between M sheets.  Two
+fractions and running toward a common meeting slope.  The surface has
+M sheets, and the last edge of a path may be partial: ``stop`` of the
+M sheets stop one vertex early (``stop = 0`` is a complete edge).  Two
 families are built here: the descending-ladder surface S(M, x*), whose
 sheet weights come from the simplex minimizer x*, and the single-sheet
 reference surface R.  Twist numbers of the paths give boundary slopes;
@@ -37,14 +38,14 @@ class EdgePath:
     """An edge-path of at least one edge, listed from the tangle
     fraction toward its end; the vertices are ``Fraction`` slopes.
 
-    ``final_fraction = (K, M)`` marks the last edge as partial: K of
-    the M sheets stop at the second-to-last vertex and the remaining
-    M - K continue to the last one.  ``None`` means every edge is
-    complete.
+    ``stop`` of the surface's M sheets stop at the second-to-last
+    vertex and the remaining M - stop continue to the last one; a
+    complete last edge has ``stop = 0``.  ``CandidateSurface`` checks
+    0 <= stop <= M.
     """
 
     vertices: tuple[Fraction, ...]
-    final_fraction: Optional[tuple[int, int]] = None
+    stop: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
@@ -55,26 +56,16 @@ class EdgePath:
                 raise AdjacencyViolation(
                     f"slopes {u} and {v} do not span an edge"
                 )
-        if self.final_fraction is not None:
-            k, m = self.final_fraction
-            object.__setattr__(self, "final_fraction", (int(k), int(m)))
-            if m < 1 or not 0 <= k <= m:
-                raise ValueError(f"bad final edge weight {k}/{m}")
 
     @property
     def edge_count(self) -> int:
         return len(self.vertices) - 1
 
-    @property
-    def full_edge_count(self) -> int:
-        return self.edge_count - (1 if self.final_fraction is not None else 0)
-
 
 @dataclass(frozen=True)
 class CurveCoords:
-    """Arc/band/slope tallies of one tangle's ending curve system."""
+    """Band/slope tallies of one tangle's ending curve system."""
 
-    A: int
     B: int
     C: int
 
@@ -83,10 +74,9 @@ class CurveCoords:
 class CandidateSurface:
     """An edge-path system together with its sheet bookkeeping.
 
-    ``K`` lists the per-tangle sheet counts (K0, K1, ..., Km) stopping
-    early on fractional final edges (all zero for the reference
-    family) and ``rvalues`` the final-edge denominator jumps; both are
-    read off the paths.  ``q_negative`` is the ladder depth parameter
+    ``K`` lists the paths' ``stop`` counts (K0, K1, ..., Km), all zero
+    for the reference family, and ``rvalues`` the final-edge
+    denominator jumps; both are read off the paths.  ``q_negative`` is the ladder depth parameter
     of the negative tangle's final edge (None for the reference family).
     ``reference_slope`` is the boundary slope of this surface itself,
     known at construction time for reference surfaces; it is the
@@ -106,6 +96,9 @@ class CandidateSurface:
             raise ValueError("need at least three tangle edge-paths")
         if self.M < 1:
             raise ValueError("sheet count must be positive")
+        for path in self.edgepaths:
+            if not 0 <= path.stop <= self.M:
+                raise ValueError(f"path stops {path.stop} of {self.M} sheets")
 
     @property
     def m(self) -> int:
@@ -113,10 +106,7 @@ class CandidateSurface:
 
     @property
     def K(self) -> tuple[int, ...]:
-        return tuple(
-            0 if p.final_fraction is None else p.final_fraction[0]
-            for p in self.edgepaths
-        )
+        return tuple(p.stop for p in self.edgepaths)
 
     @property
     def rvalues(self) -> tuple[int, ...]:
@@ -145,29 +135,24 @@ def sstar_vector(q) -> tuple[tuple[Fraction, ...], int, tuple[int, ...]]:
     return x, sheets, tuple(int(sheets * xi) for xi in x)
 
 
-def _path_from_entries(entries, final_fraction=None, skip=0) -> EdgePath:
+def _path_from_entries(entries, stop=0, skip=0) -> EdgePath:
     """Edge-path through the reversed partial values of ``entries``.
 
     ``skip`` drops that many of the shortest partials (used to stop a
     ladder early).
     """
     kept = partial_evaluations(entries)[skip:]
-    return EdgePath(tuple(reversed(kept)), final_fraction)
+    return EdgePath(tuple(reversed(kept)), stop)
 
 
 def curve_coords(surface: CandidateSurface) -> tuple[CurveCoords, ...]:
-    """Ending curve-system tallies (A, B, C) of each tangle's path."""
+    """Ending curve-system tallies (B, C) of each tangle's path."""
     out = []
     for path in surface.edgepaths:
         prev, last = path.vertices[-2], path.vertices[-1]
-        if path.final_fraction is not None:
-            arcs_prev, sheets = path.final_fraction
-        else:
-            arcs_prev, sheets = 0, surface.M
-        arcs_last = sheets - arcs_prev
+        arcs_prev, arcs_last = path.stop, surface.M - path.stop
         out.append(
             CurveCoords(
-                A=sheets,
                 B=arcs_prev * (prev.denominator - 1)
                 + arcs_last * (last.denominator - 1),
                 C=arcs_prev * prev.numerator + arcs_last * last.numerator,
@@ -220,12 +205,12 @@ def build_sstar_surface(knot) -> CandidateSurface:
     paths = [
         _path_from_entries(
             negative_cfe(data.fractions[0]),
-            final_fraction=(k0, sheets),
+            stop=k0,
             skip=ladder_q - 2,
         )
     ]
     for r, k in zip(data.fractions[1:], karcs):
-        paths.append(_path_from_entries(negative_cfe(r), final_fraction=(k, sheets)))
+        paths.append(_path_from_entries(negative_cfe(r), stop=k))
     surface = CandidateSurface(
         edgepaths=tuple(paths),
         M=sheets,
@@ -267,21 +252,17 @@ def twist_number(surface: CandidateSurface) -> Fraction:
     """Signed edge count 2 sum(e- minus e+) over all paths.
 
     An edge counts +1 when its slope value decreases along the
-    traversal and -1 when it increases; a fractional final edge
-    carries weight (M - K)/M instead of 1.
+    traversal and -1 when it increases; the last edge carries weight
+    (M - stop)/M, which is 1 for a complete edge.  The sum is kept in
+    M-ths as an integer and divided once.
     """
-    total = Fraction(0)
+    sheets = surface.M
+    total = 0
     for path in surface.edgepaths:
-        last = path.edge_count - 1
-        for idx in range(path.edge_count):
-            u, v = path.vertices[idx], path.vertices[idx + 1]
-            sign = 1 if u > v else -1
-            if path.final_fraction is not None and idx == last:
-                k, sheets = path.final_fraction
-                total += sign * Fraction(sheets - k, sheets)
-            else:
-                total += sign
-    return 2 * total
+        vertices = path.vertices
+        signs = [1 if u > v else -1 for u, v in zip(vertices, vertices[1:])]
+        total += sheets * sum(signs) - signs[-1] * path.stop
+    return Fraction(2 * total, sheets)
 
 
 def boundary_slope(surface: CandidateSurface, seifert: CandidateSurface) -> Fraction:
@@ -299,21 +280,16 @@ def euler_over_sheets(surface: CandidateSurface) -> Fraction:
     """Twice the Euler characteristic per sheet, 2 chi / M.
 
     Assembles the surface from 2M disks per tangle: each complete edge
-    glues M bands, a fractional final edge M - K bands, and each of
+    glues M bands, a last edge M - stop bands, and each of
     the m neighbor identifications merges 2M + B arcs, where B is the
     shared band count of the ending curve systems (counted once as a
     correction).
     """
     sheets = surface.M
-    full = 0
-    partial_bands = 0
+    full = partial_bands = 0
     for path in surface.edgepaths:
-        full += path.full_edge_count
-        if path.final_fraction is not None:
-            k, m_of_path = path.final_fraction
-            if m_of_path != sheets:
-                raise ValueError("fractional edge weight uses a foreign sheet count")
-            partial_bands += sheets - k
+        full += path.edge_count - 1
+        partial_bands += sheets - path.stop
     m = surface.m
     band = surface.common_b
     chi = (

@@ -113,11 +113,7 @@ class VerificationReport:
             paths.append(
                 {
                     "vertices": [f"{v.numerator}/{v.denominator}" for v in path.vertices],
-                    "final_fraction": (
-                        list(path.final_fraction)
-                        if path.final_fraction is not None
-                        else None
-                    ),
+                    "final_fraction": [path.stop, self.surface.M] if path.stop else None,
                 }
             )
         return {

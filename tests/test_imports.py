@@ -1,5 +1,6 @@
-"""No library module imports a name it never uses, and every module
-parses as Python 3.10, the oldest version ``pyproject.toml`` allows.
+"""No library module imports a name it never uses or contains an
+``assert`` statement, and every module parses as Python 3.10, the
+oldest version ``pyproject.toml`` allows.
 
 The import check reads every module of ``src/slopelab`` except the
 package ``__init__`` (whose imports are the public surface) with the
@@ -45,6 +46,19 @@ def test_library_modules_use_every_import():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_library_modules_have_no_assert_statements():
+    # python -O drops asserts; a runtime check must raise a real error
+    found = {
+        path.name: [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+        ]
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_library_modules_parse_as_python_3_10():

@@ -26,6 +26,7 @@ from slopelab.surfaces import (
     twist_number,
 )
 from slopelab.surfaces import _check_gluing, _ladder_depth
+from slopelab.verify import iter_strict_pretzels
 from support import (
     _positive_tangle_entries,
     _reference_negative_entries,
@@ -56,12 +57,10 @@ def test_farey_adjacency():
 
 
 def test_edge_path_validation():
-    path = EdgePath(
-        (Fraction(1, 3), Fraction(1, 2), Fraction(1)),
-        final_fraction=(2, 5),
-    )
+    path = EdgePath((Fraction(1, 3), Fraction(1, 2), Fraction(1)), stop=2)
     assert path.edge_count == 2
-    assert path.full_edge_count == 1
+    assert path.stop == 2
+    assert EdgePath(path.vertices).stop == 0
     with pytest.raises(AdjacencyViolation):
         EdgePath((Fraction(1, 3), Fraction(1)))
     with pytest.raises(AdjacencyViolation):
@@ -71,9 +70,13 @@ def test_edge_path_validation():
     with pytest.raises(ValueError):
         EdgePath((Fraction(1, 3),))
     with pytest.raises(ValueError):
-        EdgePath(path.vertices, final_fraction=(6, 5))
-    with pytest.raises(ValueError):
-        EdgePath((Fraction(0),), final_fraction=(1, 2))
+        EdgePath((Fraction(0),), stop=1)
+    # the stop count is checked against the surface's sheet count
+    complete = EdgePath((Fraction(1, 3), Fraction(0)))
+    CandidateSurface((path, complete, complete), 5, None)
+    for bad in (EdgePath(path.vertices, stop=6), EdgePath(path.vertices, stop=-1)):
+        with pytest.raises(ValueError):
+            CandidateSurface((bad, complete, complete), 5, None)
 
 
 def test_sstar_vector_anchors():
@@ -99,10 +102,10 @@ def test_sstar_surface_big_pretzel():
     assert s.common_b == 12
     assert [p.edge_count for p in s.edgepaths] == [6, 1, 1, 1, 1]
     assert list(s.edgepaths[0].vertices) == [Fraction(-1, k) for k in (7, 6, 5, 4, 3, 2, 1)]
-    assert s.edgepaths[0].final_fraction == (12, 14)
+    assert s.edgepaths[0].stop == 12
     for i, (path, qi) in enumerate(zip(s.edgepaths[1:], (5, 7, 3, 5))):
         assert list(path.vertices) == [Fraction(1, qi), Fraction(0)]
-        assert path.final_fraction == (s.K[i + 1], 14)
+        assert path.stop == s.K[i + 1]
     assert s.rvalues == (1, 4, 6, 2, 4)
     assert incompressibility_check(s) == INCOMPRESSIBLE
     assert twist_number(s) == Fraction(114, 7)
@@ -160,7 +163,7 @@ def test_slopes_worked_example():
 def test_curve_coords_gluing():
     s = build_sstar_surface(BIG_PRETZEL)
     coords = curve_coords(s)
-    assert coords[0] == CurveCoords(A=14, B=12, C=-14)
+    assert coords[0] == CurveCoords(B=12, C=-14)
     assert all(c.B == s.common_b for c in coords)
     assert sum(c.C for c in coords) == 0
     assert [c.C for c in coords[1:]] == [3, 2, 6, 3]
@@ -175,7 +178,7 @@ def test_check_gluing_raises_no_solution():
     # Mirroring the negative tangle's path keeps its bands and arc count
     # but flips its slope total, which breaks the cancellation.
     ladder = s.edgepaths[0]
-    mirrored = EdgePath(tuple(-v for v in ladder.vertices), ladder.final_fraction)
+    mirrored = EdgePath(tuple(-v for v in ladder.vertices), ladder.stop)
     doctored = dataclasses.replace(s, edgepaths=(mirrored,) + s.edgepaths[1:])
     with pytest.raises(NoSolution, match="slope totals"):
         _check_gluing(doctored)
@@ -214,6 +217,23 @@ def test_negative_cfe_and_ladder_depth_match_the_hand_derived_recipes():
             assert _ladder_depth(band, sheets) > -q0
         else:
             assert _ladder_depth(band, sheets) == expected
+
+
+def test_every_sstar_path_stops_some_sheets():
+    # The JSON report writes a complete last edge as null, so no SStar
+    # path may have stop 0: K_i = M x_i >= 1, and K0 >= 1 because the
+    # band count K1 (q1 - 1) is positive.
+    knots = [WORKED, BIG_PRETZEL]
+    knots += [PretzelKnot(q) for q in iter_strict_pretzels(-9, 9)]
+    built = 0
+    for knot in knots:
+        try:
+            s = build_sstar_surface(knot)
+        except NoSolution:
+            continue
+        assert all(p.stop >= 1 for p in s.edgepaths), knot
+        built += 1
+    assert built == 37  # 35 of the 40 box entries, and both worked knots
 
 
 def test_sstar_inconclusive_cycle():

@@ -341,6 +341,24 @@ def test_cli_jones_link_fails_before_the_state_sum(monkeypatch, capsys):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (
+            "m:-1/3,-1/5,1/2,1/3",
+            "m:-1/3,-1/5,1/2,1/3 has 2 negative tangles; expected one, listed first",
+        ),
+        ("m:1/2,1/2,-1/3", "m:-1/3,1/2,1/2 closes up into a link"),
+    ],
+    ids=["two-negatives", "link"],
+)
+def test_cli_montesinos_errors_name_the_spec(capsys, spec, message):
+    assert cli.main(["verify", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_verify_derives_the_knot_record_once(monkeypatch):
     import slopelab.degrees
     import slopelab.diagrams
