@@ -9,10 +9,13 @@ chains them eastward.
 Tangles are then concatenated east to west and closed up around the
 outside.
 
-The three module constants fix the chirality conventions (which
-diagonal crosses over in a positively twisted run, and the sign of a
-crossing from the oriented frame).  They are pinned by the known
-writhe and bracket values of reference diagrams; see the tests.
+Two calibrated conventions fix the chirality: ``over_diagonal`` says
+which diagonal crosses over in a run of either direction, and
+``SIGN_CONV`` gives a crossing's sign from the ports where the walk
+enters it.  The under strand enters either one port counterclockwise
+of the over strand's entry (sign ``SIGN_CONV``) or one port clockwise
+(sign ``-SIGN_CONV``).  Both are pinned by the known writhe and
+bracket values of reference diagrams; see the tests.
 """
 from __future__ import annotations
 
@@ -20,34 +23,26 @@ from dataclasses import dataclass, field
 
 from .errors import MultiComponent
 
-# Calibrated chirality constants.  over_diagonal 0 means the strand
-# through ports (0, 2) crosses over; 1 means the strand through (1, 3).
-# Both run directions share the same over diagonal; the values are
-# pinned by known writhes of reference diagrams (see tests).
-V_OVER_POS = 0  # over diagonal of a crossing in a positive vertical run
-H_OVER_POS = 0  # over diagonal of a crossing in a positive horizontal run
-SIGN_CONV = -1  # global sign of the oriented crossing determinant
-
-_POS = {0: (-1, 1), 1: (-1, -1), 2: (1, -1), 3: (1, 1)}
+# Sign of a crossing whose under strand enters one port counterclockwise
+# of the over strand's entry; pinned by known writhes (see tests).
+SIGN_CONV = -1
 
 
-def over_diagonal(axis: str, sense: int) -> int:
-    """Which diagonal is the over strand for a run crossing."""
-    base = V_OVER_POS if axis == "v" else H_OVER_POS
-    return base if sense > 0 else 1 - base
+def over_diagonal(sense: int) -> int:
+    """The over diagonal of a crossing in a run of the given sense, in
+    either run direction: 0 is the strand through ports (0, 2), 1 the
+    strand through (1, 3).  Calibrated by known writhes (see tests)."""
+    return 0 if sense > 0 else 1
 
 
 @dataclass
 class Diagram:
     """A closed 4-valent planar diagram with over/under data."""
 
-    crossings: list[tuple[str, int, int]] = field(default_factory=list)
+    # the over diagonal of each crossing
+    crossings: list[int] = field(default_factory=list)
     # planar pairing of ports; a port is (crossing_index, slot)
     edge: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
-
-    def add_crossing(self, axis: str, sense: int) -> int:
-        self.crossings.append((axis, sense, over_diagonal(axis, sense)))
-        return len(self.crossings) - 1
 
     def join(self, p, q):
         if p in self.edge or q in self.edge:
@@ -61,7 +56,8 @@ def _build_tangle(d: Diagram, runs):
     boundary = None
     for axis, count, sense in runs:
         for _ in range(count):
-            ci = d.add_crossing(axis, sense)
+            ci = len(d.crossings)
+            d.crossings.append(over_diagonal(sense))
             box = ((ci, 0), (ci, 1), (ci, 2), (ci, 3))
             if boundary is None:
                 boundary = box
@@ -96,8 +92,9 @@ def build_standard_diagram(knot) -> Diagram:
 def _traverse(d: Diagram):
     """Walk the diagram, returning the entry slots in visit order.
 
-    Raises MultiComponent when the walk closes before covering every
-    strand passage.
+    Each port leads to one next port, one-to-one, so the walk returns to
+    its start before repeating a port.  Raises MultiComponent when it
+    closes before covering every strand passage.
     """
     if not d.crossings:
         raise ValueError("empty diagram")
@@ -111,8 +108,6 @@ def _traverse(d: Diagram):
         here = d.edge[exit_port]
         if here == start:
             break
-        if len(order) > 2 * len(d.crossings):
-            raise MultiComponent("walk revisits a passage")
     if len(order) != 2 * len(d.crossings):
         raise MultiComponent(
             f"diagram has several components: walked {len(order)} of "
@@ -121,25 +116,14 @@ def _traverse(d: Diagram):
     return order
 
 
-def _transit_directions(d: Diagram):
-    """Map crossing -> {diagonal: direction vector} from the walk."""
-    dirs = {}
-    for ci, slot in _traverse(d):
-        x0, y0 = _POS[slot]
-        x1, y1 = _POS[(slot + 2) % 4]
-        dirs.setdefault(ci, {})[slot % 2] = (x1 - x0, y1 - y0)
-    return dirs
-
-
 def crossing_signs(d: Diagram) -> list[int]:
-    dirs = _transit_directions(d)
-    signs = []
-    for ci, (_, _, over) in enumerate(d.crossings):
-        u = dirs[ci][over]
-        w = dirs[ci][1 - over]
-        det = u[0] * w[1] - u[1] * w[0]
-        signs.append(SIGN_CONV if det > 0 else -SIGN_CONV)
-    return signs
+    entry = [[0, 0] for _ in d.crossings]
+    for ci, slot in _traverse(d):
+        entry[ci][slot % 2] = slot
+    return [
+        SIGN_CONV if (e[1 - over] - e[over]) % 4 == 1 else -SIGN_CONV
+        for e, over in zip(entry, d.crossings)
+    ]
 
 
 def writhe(d: Diagram) -> int:

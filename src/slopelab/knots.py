@@ -13,6 +13,7 @@ kept on the object.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -128,7 +129,12 @@ class MontesinosKnot(_KnotRecord):
         return recipes
 
     def spec(self) -> str:
-        return "m:" + ",".join(str(r) for r in self.fractions)
+        return montesinos_spec(self.fractions)
+
+
+def montesinos_spec(fractions) -> str:
+    """The ``m:r0,r1,...`` spec of a list of tangle fractions."""
+    return "m:" + ",".join(str(r) for r in fractions)
 
 
 def classify(fractions) -> str:
@@ -152,13 +158,18 @@ def normalize_reduced(fractions) -> tuple[Fraction, ...]:
 
     Each step subtracts 1 from the currently largest fraction and adds
     1 to the smallest, preserving the total.  Raises ValueError when no
-    such representative exists (the loop would revisit a state).
+    such representative exists: each r ends at r - floor(r) or one less,
+    so one exists exactly when no r is an integer and
+    j = -sum(floor(r)) lies in 0..len.
     """
     fr = [Fraction(r) for r in fractions]
     if any(r == 0 for r in fr):
         raise ValueError("tangle fractions must be nonzero")
     if not fr:
         raise ValueError("no tangle fractions given")
+    spec = montesinos_spec(fr)
+    if any(r.denominator == 1 for r in fr) or not 0 <= -sum(map(math.floor, fr)) <= len(fr):
+        raise ValueError(f"{spec} has no reduced representative")
     budget = 4 * (sum(int(abs(r)) for r in fr) + len(fr) + 2)
     for _ in range(budget):
         if all(0 < abs(r) < 1 for r in fr):
@@ -170,8 +181,8 @@ def normalize_reduced(fractions) -> tuple[Fraction, ...]:
         fr[hi] -= 1
         fr[lo] += 1
         if fr[hi] == 0 or fr[lo] == 0:
-            raise ValueError(f"normalization of {tuple(fractions)} hits a zero tangle")
-    raise ValueError(f"{tuple(fractions)} has no reduced representative")
+            raise ValueError(f"normalization of {spec} hits a zero tangle")
+    raise ValueError(f"{spec} has no reduced representative")
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ the tangle turned a quarter turn, then turns it back.  The cable of a
 knot is built bottom to top without the projector: matchings the
 projector would kill are dropped as they appear, and the projector is
 multiplied in once, just before the closure.  The crossing smoothing
-weights are fixed by the same chirality constants as the diagrams (see
-``KAPPA`` and the tests).
+weights are fixed by the same chirality convention as the diagrams,
+``diagrams.over_diagonal`` (see ``KAPPA`` and the tests).
 """
 from __future__ import annotations
 
@@ -310,7 +310,7 @@ def tangle_element(runs, cable: int) -> TLElement:
     """
     element = None
     for axis, count, sense in runs:
-        over_diag = over_diagonal(axis, sense)
+        over_diag = over_diagonal(sense)
         if element is None and count:
             element, count = crossing_block(cable, over_diag), count - 1
         if not count:
@@ -410,7 +410,7 @@ def _projected_bracket(knot, cable: int) -> LaurentPoly:
         # a braid word is stacked onto the running element directly
         if _is_braid_like(runs):
             for axis, count, sense in runs:
-                element = _times_block(element, cable, over_diagonal(axis, sense), count)
+                element = _times_block(element, cable, over_diagonal(sense), count)
         else:
             element = tl_multiply(element, tangle_element(runs, cable))
         element = _drop_projector_cups(element, cable)

@@ -60,7 +60,7 @@ def pd_code(d: Diagram):
     for ci, slot in order:
         entries.setdefault(ci, {})[slot % 2] = slot
     tuples = []
-    for ci, (_, _, over) in enumerate(d.crossings):
+    for ci, over in enumerate(d.crossings):
         under_entry = entries[ci][1 - over]
         tuples.append(
             [label[(ci, (under_entry + k) % 4)] for k in range(4)]

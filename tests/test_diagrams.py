@@ -47,6 +47,23 @@ def test_frozen_crossings_and_writhes(spec, crossings, w):
     assert writhe(d) == w
 
 
+# per-crossing signs in crossing order; FROZEN pins only their sums
+FROZEN_SIGNS = [
+    ("p:-2,3,7", [1] * 12),
+    ("m:-1/3,2/7,1/4", [-1] * 8 + [1] * 4),
+]
+
+
+@pytest.mark.parametrize("spec, signs", FROZEN_SIGNS)
+def test_frozen_crossing_signs(spec, signs):
+    assert crossing_signs(build_standard_diagram(parse_knot_spec(spec))) == signs
+
+
+def test_crossings_hold_their_over_diagonal():
+    d = build_standard_diagram(PretzelKnot((-2, 3, 7)))
+    assert d.crossings == [1] * 2 + [0] * 10
+
+
 def test_worked_example_diagram():
     d = build_standard_diagram(WORKED)
     assert len(d.crossings) == 61

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -100,6 +102,38 @@ def test_normalize_reduced_random_preserves_total():
         assert sum(out) == sum(fr)
         assert all(0 < abs(r) < 1 for r in out)
         done += 1
+
+
+def test_normalize_reduced_raises_exactly_without_a_reduced_form():
+    # Each r ends at r - floor(r) or one less; a reduced form exists
+    # when some such choice lies in 0 < |r| < 1 and keeps the total.
+    rng = random.Random(14)
+    feasible = 0
+    for _ in range(2000):
+        size = rng.randint(1, 5)
+        fr = []
+        for _ in range(size):
+            den = rng.randint(1, 9)
+            num = rng.choice([n for n in range(1 - den, den) if n] or [1])
+            fr.append(Fraction(num, den) + rng.randint(-4, 4))
+        fr[-1] += rng.choice([0, 0, 0, -1, 1, -size - 1, size + 1])
+        if 0 in fr:
+            continue
+        ends = (
+            [r - math.floor(r) - b for r, b in zip(fr, bits)]
+            for bits in itertools.product((0, 1), repeat=size)
+        )
+        exists = any(
+            sum(end) == sum(fr) and all(0 < abs(e) < 1 for e in end) for end in ends
+        )
+        if exists:
+            out = normalize_reduced(fr)
+            assert sum(out) == sum(fr) and all(0 < abs(r) < 1 for r in out), fr
+            feasible += 1
+        else:
+            with pytest.raises(ValueError, match="has no reduced representative"):
+                normalize_reduced(fr)
+    assert 200 < feasible < 1800
 
 
 def test_normalize_reduced_keeps_the_total():

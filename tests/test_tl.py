@@ -248,7 +248,7 @@ def _dense_tangle(runs, cable):
     """Tangle assembly by one dense product (or gluing) per crossing."""
     element = None
     for axis, count, sense in runs:
-        block = _dense_block(cable, over_diagonal(axis, sense))
+        block = _dense_block(cable, over_diagonal(sense))
         for _ in range(count):
             if element is None:
                 element = block

@@ -1,10 +1,14 @@
 import dataclasses
 import importlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import slopelab
 from slopelab import cli
 from slopelab.errors import ColorTooLarge, HypothesisViolation, NotAKnot
 from slopelab.knots import parse_knot_spec
@@ -357,6 +361,30 @@ def test_cli_montesinos_errors_name_the_spec(capsys, spec, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def _run_cli(*args):
+    """Run the command line in a fresh interpreter, so a hang fails the test."""
+    code = "import sys; from slopelab.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(slopelab.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_cli_spec_without_reduced_form_fails_fast():
+    run = _run_cli("verify", "m:100000001/3,-1/3,1/2")
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == "error: m:100000001/3,-1/3,1/2 has no reduced representative\n"
+
+
+def test_cli_unwritable_json_path_exits_2(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    run = _run_cli("verify", "p:-3,5,5", "--json", str(target))
+    assert run.returncode == 2
+    assert run.stdout.endswith("PASS\n")
+    assert run.stderr == f"error: [Errno 2] No such file or directory: '{target}'\n"
 
 
 def test_verify_derives_the_knot_record_once(monkeypatch):
