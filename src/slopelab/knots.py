@@ -174,14 +174,9 @@ def normalize_reduced(fractions) -> tuple[Fraction, ...]:
     for _ in range(budget):
         if all(0 < abs(r) < 1 for r in fr):
             return tuple(fr)
-        hi = fr.index(max(fr))
-        lo = fr.index(min(fr))
-        if hi == lo:
-            break
+        hi, lo = fr.index(max(fr)), fr.index(min(fr))
         fr[hi] -= 1
         fr[lo] += 1
-        if fr[hi] == 0 or fr[lo] == 0:
-            raise ValueError(f"normalization of {spec} hits a zero tangle")
     raise ValueError(f"{spec} has no reduced representative")
 
 

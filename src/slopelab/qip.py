@@ -7,14 +7,16 @@ minimizing a separable convex quadratic sum(a_i x_i^2 + b_i x_i) over
 the scaled simplex {x >= 0 integral, sum x_i = t}.  This module solves
 that inner problem exactly by the greedy marginal threshold (the t
 smallest per-coordinate marginals form every minimizer), certifies the
-result by a pairwise exchange condition, records the quasi-linear
-structure of the minimizer as a function of t, and layers the outer
-t-scan on top.  The case analysis of the real relaxation lives in
-``slopelab.degrees``.
+result by an exchange condition, and records the quasi-linear
+structure of the minimizer as a function of t.  One solve at the
+largest total holds the minimum at every smaller t as a prefix sum of
+its sorted marginals, which gives the outer maximization over t.  The
+case analysis of the real relaxation lives in ``slopelab.degrees``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import prod
 
 
@@ -57,7 +59,7 @@ class SeparableQuadratic:
 class LatticeOptimum:
     """Integer minimizer over the scaled simplex at one t.
 
-    ``certificate_checked`` records that the pairwise exchange
+    ``certificate_checked`` records that the exchange
     certificate confirmed optimality beyond the greedy itself.
     """
 
@@ -76,27 +78,21 @@ def _check_feasible(f: SeparableQuadratic, x, t):
 
 
 def graver_certificate(f: SeparableQuadratic, x, t: int) -> bool:
-    """Pairwise optimality certificate at a feasible lattice point.
+    """Exchange optimality certificate at a feasible lattice point.
 
-    True iff moving one unit from any coordinate i with x_i > 0 to any
-    other coordinate j does not lower f, that is
-    2(a_i x_i - a_j x_j) <= (a_i + a_j) - (b_i - b_j).  Equivalently,
-    the last marginal a_i(2x_i - 1) + b_i taken by any coordinate is at
-    most the next marginal a_j(2x_j + 1) + b_j of any other, so x holds
-    the t smallest marginals: the condition is exact at every feasible
-    point, degenerate ones included.
+    True iff the largest marginal a_i(2x_i - 1) + b_i taken by a
+    coordinate with x_i > 0 is at most the smallest next marginal
+    a_j(2x_j + 1) + b_j of any coordinate, so x holds the t smallest
+    marginals and no unit move from i to j lowers f.  Letting j = i
+    changes nothing, since a coordinate's next marginal exceeds its
+    last by 2a_i > 0; the condition is exact at every feasible point,
+    degenerate ones included.
     """
     x = _check_feasible(f, x, t)
-    a, b = f.a, f.b
-    for i in range(f.m):
-        if x[i] == 0:
-            continue  # a unit cannot leave an empty coordinate
-        for j in range(f.m):
-            if i == j:
-                continue
-            if 2 * (a[i] * x[i] - a[j] * x[j]) > (a[i] + a[j]) - (b[i] - b[j]):
-                return False
-    return True
+    taken = [ai * (2 * xi - 1) + bi for ai, bi, xi in zip(f.a, f.b, x) if xi > 0]
+    return not taken or max(taken) <= min(
+        ai * (2 * xi + 1) + bi for ai, bi, xi in zip(f.a, f.b, x)
+    )
 
 
 def varpi(f: SeparableQuadratic) -> int:
@@ -148,27 +144,14 @@ def lattice_min(f: SeparableQuadratic, t: int) -> LatticeOptimum:
     return LatticeOptimum(x, f.value(x), graver_certificate(f, x, t))
 
 
-@dataclass(frozen=True)
-class DegreeMaximum:
-    """Outcome of the tight-state degree maximization at one cable size.
-
-    ``k_star`` holds the positive-index entries of the maximizing tight
-    state; its total ``t_star`` doubles as the k0 entry.
-    """
-
-    n: int
-    t_star: int
-    value: int
-    k_star: tuple[int, ...]
-
-
-def maximize_degree(q, n: int) -> DegreeMaximum:
-    """Maximize the tight-state degree over all totals t in 0..n.
+def maximize_degree(q, n: int) -> int:
+    """Maximal tight-state degree over all totals t in 0..n.
 
     A tight state (k0; k1, ..., km) with k0 = t = k1 + ... + km has degree
     n(n+2) sum q - 2 [(q0+1) t^2 + sum (qi-1) ki^2 + sum (-2+q0+qi) ki + (m-1) n].
-    Scans every t, minimizing over k1..km exactly with ``lattice_min``,
-    and keeps the smallest maximizing t.
+    The minimum over k1..km at total t is the sum of the t smallest
+    marginals, and ``lattice_min`` at t = n takes the n smallest, so the
+    prefix sums of its sorted marginals give that minimum at every t.
     """
     q = tuple(_integral(v, "twist entry") for v in q)
     n = _integral(n, "cable size")
@@ -179,18 +162,14 @@ def maximize_degree(q, n: int) -> DegreeMaximum:
     if any(qi <= 1 for qi in q[1:]):
         raise ValueError(f"positive-index twist entries must exceed 1: {q}")
     q0, rest = q[0], q[1:]
-    m = len(rest)
     f = SeparableQuadratic(
         tuple(qi - 1 for qi in rest), tuple(-2 + q0 + qi for qi in rest)
     )
-    total_q = sum(q)
-    best = None
-    for t in range(n + 1):
-        opt = lattice_min(f, t)
-        delta = n * (n + 2) * total_q - 2 * (
-            (q0 + 1) * t * t + opt.value + (m - 1) * n
-        )
-        if best is None or delta > best[1]:
-            best = (t, delta, opt.minimizer)
-    t_star, value, k_star = best
-    return DegreeMaximum(n=n, t_star=t_star, value=value, k_star=k_star)
+    x = lattice_min(f, n).minimizer
+    taken = sorted(
+        ai * (2 * k + 1) + bi for ai, bi, xi in zip(f.a, f.b, x) for k in range(xi)
+    )
+    inner = min(
+        (q0 + 1) * t * t + s for t, s in enumerate(accumulate(taken, initial=0))
+    )
+    return n * (n + 2) * sum(q) - 2 * (inner + (len(rest) - 1) * n)

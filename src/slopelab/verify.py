@@ -58,7 +58,7 @@ def predicted_min_degree(knot, color: int) -> int:
     quad_shift, lin_shift = tangle_reduction_total(data)
     return -(
         knot.writhe * (color * color - 1)
-        + maximize_degree(data.q, n).value
+        + maximize_degree(data.q, n)
         + (data.inherited + quad_shift) * n * n
         + lin_shift * n
     )
@@ -275,9 +275,10 @@ def iter_strict_pretzels(q0_min: int, qi_max: int, tangle_counts=(2,)):
     """All strict twist vectors with q0 >= q0_min and qi <= qi_max.
 
     Entries are odd, the leading one at most -3, the others at least
-    3 and sorted; tangle counts must be even.
+    3 and sorted; tangle counts must be even, and a repeated count is
+    scanned once.
     """
-    for m in tangle_counts:
+    for m in dict.fromkeys(tangle_counts):
         if m % 2 != 0 or m < 2:
             raise ValueError(f"tangle count {m} must be even and at least 2")
         for q0 in range(q0_min, -2):

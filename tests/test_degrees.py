@@ -117,7 +117,7 @@ def test_delta_nk_matches_lattice_maximum():
                 for rest in itertools.product(range(n + 1), repeat=m)
                 if sum(rest) <= n
             )
-            assert best == maximize_degree(q, n).value
+            assert best == maximize_degree(q, n)
 
 
 _TR_MOVES = ("TR1neg", "TR2neg", "TRpos")

@@ -146,28 +146,81 @@ def test_lattice_min_quasi_period():
 
 def test_maximize_degree_anchors():
     q = (-7, 5, 7, 3, 5)
-    for n, t_star, k_star, value in [
-        (0, 0, (0, 0, 0, 0), 0),
-        (1, 1, (0, 0, 1, 0), 53),
-        (2, 2, (0, 0, 1, 1), 148),
-        (14, 14, (3, 2, 6, 3), 4972),
-    ]:
-        d = maximize_degree(q, n)
-        assert (d.t_star, d.k_star, d.value) == (t_star, k_star, value)
-        assert sum(d.k_star) == d.t_star
+    for n, value in [(0, 0), (1, 53), (2, 148), (14, 4972)]:
+        assert maximize_degree(q, n) == value
 
 
 def test_maximize_degree_small_pretzel():
-    d = maximize_degree((-3, 3, 3), 2)
-    assert (d.t_star, d.k_star, d.value) == (2, (1, 1), 36)
-    assert maximize_degree((-3, 3, 3), 1).value == 11
+    assert maximize_degree((-3, 3, 3), 2) == 36
+    assert maximize_degree((-3, 3, 3), 1) == 11
 
 
-def test_maximize_degree_balanced_case_prefers_small_total():
-    for n in (0, 1, 2, 3):
-        d = maximize_degree((-2, 3, 7), n)
-        assert d.t_star == 0
-        assert d.k_star == (0, 0)
+def test_maximize_degree_balanced_case():
+    assert [maximize_degree((-2, 3, 7), n) for n in range(4)] == [0, 22, 60, 114]
+
+
+def scan_max_degree(q, n):
+    """The outer maximization as one ``lattice_min`` solve per total t."""
+    q0, rest = q[0], q[1:]
+    f = SeparableQuadratic(
+        tuple(qi - 1 for qi in rest), tuple(-2 + q0 + qi for qi in rest)
+    )
+    return max(
+        n * (n + 2) * sum(q)
+        - 2 * ((q0 + 1) * t * t + lattice_min(f, t).value + (len(rest) - 1) * n)
+        for t in range(n + 1)
+    )
+
+
+def test_maximize_degree_matches_per_total_scan():
+    rng = random.Random(17)
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        q = (rng.randint(-25, -1),) + tuple(rng.randint(2, 25) for _ in range(m))
+        n = rng.randint(0, 40)
+        assert maximize_degree(q, n) == scan_max_degree(q, n)
+
+
+def test_maximize_degree_solves_once(monkeypatch):
+    from slopelab import qip
+
+    calls = []
+
+    def counted(f, t):
+        calls.append(t)
+        return lattice_min(f, t)
+
+    monkeypatch.setattr(qip, "lattice_min", counted)
+    assert maximize_degree((-7, 5, 7, 3, 5), 14) == 4972
+    assert calls == [14]
+
+
+def no_unit_move_lowers(f, x):
+    for i, j in itertools.permutations(range(f.m), 2):
+        if x[i] > 0:
+            y = list(x)
+            y[i] -= 1
+            y[j] += 1
+            if f.value(y) < f.value(x):
+                return False
+    return True
+
+
+def test_graver_certificate_matches_unit_moves():
+    rng = random.Random(23)
+    certified = 0
+    for _ in range(3000):
+        m = rng.randint(1, 5)
+        f = SeparableQuadratic(
+            tuple(rng.randint(1, 6) for _ in range(m)),
+            tuple(rng.randint(-12, 12) for _ in range(m)),
+        )
+        # Half the coordinates are zero on average, so degenerate points abound.
+        x = tuple(rng.choice((0, rng.randint(0, 6))) for _ in range(m))
+        expected = no_unit_move_lowers(f, x)
+        assert graver_certificate(f, x, sum(x)) == expected
+        certified += expected
+    assert 0 < certified < 3000
 
 
 def test_maximize_degree_validation():
@@ -190,6 +243,6 @@ def test_degree_values_are_exact_ints():
     f = SeparableQuadratic((1, 2), (0, 0))
     assert type(f.value((2, 1))) is int
     assert all(type(lattice_min(f, t).value) is int for t in (0, 3))
-    assert all(type(maximize_degree((-3, 3, 3), n).value) is int for n in (0, 2))
+    assert all(type(maximize_degree((-3, 3, 3), n)) is int for n in (0, 2))
     for spec in ("p:-3,5,5", "m:-1/3,2/7,1/4", "m:-46/327,35/151,5/31,16/35,1/5"):
         assert type(predicted_min_degree(parse_knot_spec(spec), 3)) is int

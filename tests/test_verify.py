@@ -162,6 +162,11 @@ def test_scan_box_all_pass():
     assert all(r.passed for r in reports)
 
 
+def test_scan_repeated_tangle_count_checks_each_knot_once():
+    reports = scan(q0_min=-3, qi_max=3, tangle_counts=(2, 2))
+    assert [r.knot for r in reports] == ["p:-3,3,3"]
+
+
 def test_iter_strict_pretzels_validation():
     with pytest.raises(ValueError):
         list(iter_strict_pretzels(-3, 5, tangle_counts=(3,)))
