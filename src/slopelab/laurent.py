@@ -20,6 +20,13 @@ class LaurentPoly:
         self.coeffs = data
 
     @classmethod
+    def wrap(cls, coeffs):
+        """Take a dict of non-zero coefficients as it is, without a copy."""
+        res = cls.__new__(cls)
+        res.coeffs = coeffs
+        return res
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -55,16 +62,12 @@ class LaurentPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = out
-        return res
+        return LaurentPoly.wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return res
+        return LaurentPoly.wrap({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -78,9 +81,7 @@ class LaurentPoly:
         if isinstance(other, int):
             if not other:
                 return LaurentPoly()
-            res = LaurentPoly.__new__(LaurentPoly)
-            res.coeffs = {e: c * other for e, c in self.coeffs.items()}
-            return res
+            return LaurentPoly.wrap({e: c * other for e, c in self.coeffs.items()})
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -90,9 +91,7 @@ class LaurentPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = out
-        return res
+        return LaurentPoly.wrap(out)
 
     __rmul__ = __mul__
 
@@ -110,9 +109,7 @@ class LaurentPoly:
 
     def shift(self, k):
         """Multiply by v^k."""
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = {e + k: c for e, c in self.coeffs.items()}
-        return res
+        return LaurentPoly.wrap({e + k: c for e, c in self.coeffs.items()})
 
     def degree(self):
         return max(self.coeffs)
@@ -126,19 +123,22 @@ class LaurentPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if not self:
             return LaurentPoly({})
-        rem = LaurentPoly(dict(self.coeffs))
+        rem = dict(self.coeffs)
         quot = {}
         dtop = other.degree()
         dlead = other.coeffs[dtop]
         floor = self.min_degree() - other.min_degree()
         while rem:
-            rtop = rem.degree()
-            c, r = divmod(rem.coeffs[rtop], dlead)
+            rtop = max(rem)
+            c, r = divmod(rem[rtop], dlead)
             e = rtop - dtop
             if r or e < floor:
                 raise ArithmeticError("division is not exact")
             quot[e] = c
-            rem = rem - other.shift(e) * c
+            for d, a in other.coeffs.items():  # rem -= c v^e other, in place
+                s = rem.pop(d + e, 0) - c * a
+                if s:
+                    rem[d + e] = s
         return LaurentPoly(quot)
 
     def __str__(self):

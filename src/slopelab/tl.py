@@ -12,18 +12,23 @@ to bottom point a + b - 1 - p of the upper one, and the same expression
 maps back.
 
 A product stacks every term of the upper element on every term of the
-lower one.  For each upper term, the lower coefficients are first scaled
-by their loop powers (narrow: loops + 1 monomials) and summed per output
-matching; each non-zero sum is then multiplied by the upper coefficient
-once.  So the wide coefficient products number one per (upper term,
-output matching), not one per pair of terms.  The closure likewise sums
-coefficients per loop count before multiplying by the loop power.
+lower one.  For each upper term, the lower coefficients are summed per
+(output matching, loop count), scaled by the loop power (narrow: loops
++ 1 monomials) once per key and summed per output matching; each
+non-zero sum is then multiplied by the upper coefficient once.  So the
+wide coefficient products number one per (upper term, output matching),
+not one per pair of terms.  The closure likewise sums coefficients per
+loop count before multiplying by the loop power.  All of them accumulate
+in place in raw {exponent: coeff} dicts and wrap each surviving
+coefficient into a LaurentPoly once, at the end.
 
 Tangles are evaluated in the same boxed form the diagram builder uses:
 a crossing box is a width-2n braid block crossing two n-strand bundles,
-a word in the braid generators v^k 1 + v^-k e_i.  Stacking one generator
-on an element rewrites each matching in place (a swap of partners, or
-one loop), so a crossing costs time linear in the number of terms.  A
+a word in the braid generators v^k 1 + v^-k e_i = v^k (1 + v^-2k e_i).
+Stacking one generator on an element rewrites each matching in place (a
+swap of partners, or one loop), so a crossing costs time linear in the
+number of terms: the identity smoothing keeps each coefficient, only the
+e_i targets accumulate, and a run of blocks carries one v^k shift.  A
 horizontal run stacks blocks on top; a vertical run does the same on
 the tangle turned a quarter turn, then turns it back.  The cable of a
 knot is built bottom to top without the projector: matchings the
@@ -53,6 +58,7 @@ DEFAULT_COLOR_CAP = 4
 PlanarMatching = tuple  # partner tuple: PlanarMatching[i] == j iff i -- j
 
 LOOP = LaurentPoly({-2: -1, 2: -1})
+ONE = {0: 1}  # raw form of 1
 
 
 def _matching(pairs, size) -> PlanarMatching:
@@ -106,14 +112,10 @@ class TLElement:
             raise ValueError(
                 f"frames differ: ({self.a}, {self.b}) and ({other.a}, {other.b})"
             )
-        terms = dict(self.terms)
+        terms = {m: dict(c.coeffs) for m, c in self.terms.items()}
         for m, c in other.terms.items():
-            s = terms.get(m, LaurentPoly.zero()) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return TLElement(self.a, self.b, terms)
+            _addmul(terms.setdefault(m, {}), c.coeffs)
+        return TLElement(self.a, self.b, _wrap(terms))
 
     def __sub__(self, other) -> "TLElement":
         return self + other.scale(-1)
@@ -181,6 +183,25 @@ def _loop_power(loops: int) -> LaurentPoly:
     return LOOP**loops
 
 
+def _addmul(acc: dict, a: dict, b: dict = ONE) -> None:
+    """acc += a * b on raw {exponent: coeff} dicts, in place; zero entries
+    stay until _wrap.  The shorter factor runs in the outer loop, so a
+    plain add (b = ONE) or a shift costs one pass over a."""
+    if len(b) > len(a):
+        a, b = b, a
+    get = acc.get
+    for e2, c2 in b.items():
+        for e1, c1 in a.items():
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+
+
+def _wrap(raw: dict, shift: int = 0) -> dict:
+    """Wrap each raw coefficient once (times v^shift), dropping zeros."""
+    shifted = ((m, {e + shift: c for e, c in d.items() if c}) for m, d in raw.items())
+    return {m: LaurentPoly.wrap(d) for m, d in shifted if d}
+
+
 def tl_multiply(x: TLElement, y: TLElement) -> TLElement:
     """Stack y on top of x (compose x then y), grouped per output
     matching for each term of y (see the module docstring)."""
@@ -189,22 +210,22 @@ def tl_multiply(x: TLElement, y: TLElement) -> TLElement:
     a, b = x.a, x.b
     out = {}
     for my, cy in y.terms.items():
-        groups = {}
+        keyed = {}
         for mx, cx in x.terms.items():
-            m, loops = _stack(mx, my, a, b)
-            if loops:
-                cx = cx * _loop_power(loops)
-            s = groups.get(m)
-            groups[m] = cx if s is None else s + cx
-        for m, c in groups.items():
-            if not c:
-                continue
-            s = out.get(m, LaurentPoly.zero()) + c * cy
-            if s:
-                out[m] = s
+            key = _stack(mx, my, a, b)
+            acc = keyed.get(key)
+            if acc is None:
+                keyed[key] = dict(cx.coeffs)
             else:
-                out.pop(m, None)
-    return TLElement(a, y.b, out)
+                _addmul(acc, cx.coeffs)
+        groups = {}
+        for (m, loops), c in keyed.items():
+            _addmul(groups.setdefault(m, {}), c, _loop_power(loops).coeffs)
+        for m, c in groups.items():
+            c = {e: v for e, v in c.items() if v}
+            if c:
+                _addmul(out.setdefault(m, {}), c, cy.coeffs)
+    return TLElement(a, y.b, _wrap(out))
 
 
 def tensor(x: TLElement, y: TLElement) -> TLElement:
@@ -247,51 +268,57 @@ def markov_closure(x: TLElement) -> LaurentPoly:
     by_loops = {}
     for m, c in x.terms.items():
         _, loops = _stack(m, closure, 0, size)
-        s = by_loops.get(loops)
-        by_loops[loops] = c if s is None else s + c
-    total = LaurentPoly.zero()
+        _addmul(by_loops.setdefault(loops, {}), c.coeffs)
+    total = {}
     for loops, c in by_loops.items():
-        total = total + c * _loop_power(loops)
-    return total
+        _addmul(total, c, _loop_power(loops).coeffs)
+    return LaurentPoly(total)
 
 
 # ---------------------------------------------------------------------------
 # crossing blocks and tangle assembly
 
 
-def _times_generator(x: TLElement, i: int, over_diag: int) -> TLElement:
-    """Stack one braid generator on top of x: v^k 1 + v^-k e_i, where
-    k = KAPPA for over_diag 0 and -KAPPA otherwise."""
+def _times_word(x: TLElement, word, over_diag: int) -> TLElement:
+    """Stack the braid generators v^k 1 + v^-k e_i for i in word on top
+    of x, where k = KAPPA for over_diag 0 and -KAPPA otherwise, each as
+    1 + v^-2k e_i; the factors v^k are one shift, at the wrap.  An e_i
+    target is copied on its first write, so no input dict changes."""
     k = KAPPA if over_diag == 0 else -KAPPA
-    loop = LOOP.shift(-k)
-    # labels of the top points on strands i-1 and i (counted from the left)
-    u = x.a + x.b - i
-    w = u - 1
-    out = {}
-    for m, c in x.terms.items():
-        # identity smoothing: same matching, coefficient times v^k
-        s = out.get(m)
-        out[m] = c.shift(k) if s is None else s + c.shift(k)
-        # e_i smoothing: cap u and w together and cup them again above
-        if m[u] == w:
-            turned, c = m, c * loop
-        else:
-            p = list(m)
-            a, b = m[u], m[w]
-            p[a], p[b], p[u], p[w] = b, a, w, u
-            turned, c = tuple(p), c.shift(-k)
-        s = out.get(turned)
-        out[turned] = c if s is None else s + c
-    return TLElement(x.a, x.b, {m: c for m, c in out.items() if c})
+    loop, down = LOOP.shift(-2 * k).coeffs, {-2 * k: 1}
+    terms = {m: c.coeffs for m, c in x.terms.items()}
+    for i in word:
+        # labels of the top points on strands i-1 and i (counted from the left)
+        u = x.a + x.b - i
+        w = u - 1
+        out = dict(terms)
+        owned = set()
+        for m, c in terms.items():
+            # e_i smoothing: cap u and w together and cup them again above
+            if m[u] == w:  # u and w already meet: one closed loop
+                turned, weight = m, loop
+            else:
+                p = list(m)
+                a, b = m[u], m[w]
+                p[a], p[b], p[u], p[w] = b, a, w, u
+                turned, weight = tuple(p), down
+            if turned not in owned:
+                owned.add(turned)
+                out[turned] = dict(out.get(turned, ()))
+            _addmul(out[turned], c, weight)
+        terms = out
+    return TLElement(x.a, x.b, _wrap(terms, k * len(word)))
+
+
+def _times_generator(x: TLElement, i: int, over_diag: int) -> TLElement:
+    """Stack one braid generator on top of x (see _times_word)."""
+    return _times_word(x, [i], over_diag)
 
 
 def _times_block(x: TLElement, cable: int, over_diag: int, count: int = 1) -> TLElement:
     """Stack count crossing blocks of two cable-strand bundles on top of x."""
-    for _ in range(count):
-        for t in range(cable):
-            for i in range(cable - t, 2 * cable - t):
-                x = _times_generator(x, i, over_diag)
-    return x
+    word = [i for t in range(cable) for i in range(cable - t, 2 * cable - t)]
+    return _times_word(x, count * word, over_diag)
 
 
 @lru_cache(maxsize=None)

@@ -67,6 +67,25 @@ def test_inexact_division_raises():
         P({1: 1, 0: 1}).exact_div(P({1: 2}))
 
 
+def test_long_division_leaves_operands_unchanged():
+    rng = random.Random(16)
+    quot = P({e: rng.choice((-3, -1, 1, 2)) for e in range(-20, 20, 3)})
+    div = P({5: 2, 1: -1, -2: 3, -4: 1})
+    assert len(quot.coeffs) >= 10
+    prod = quot * div
+    before = dict(prod.coeffs)
+    assert prod.exact_div(div) == quot
+    assert prod.coeffs == before
+    # one coefficient off: the quotient stops being integral
+    with pytest.raises(ArithmeticError):
+        (prod + P({-24: 1})).exact_div(div)
+    # a unit leading coefficient never leaves a remainder; the degree floor
+    # stops the endless series 1 / (1 + v^-1)
+    with pytest.raises(ArithmeticError):
+        (prod + P({-50: 1})).exact_div(P({0: 1, -1: 1}))
+    assert prod.coeffs == before
+
+
 def test_ring_axioms_random_spot_checks():
     rng = random.Random(20260822)
 

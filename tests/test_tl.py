@@ -18,6 +18,7 @@ from slopelab.tl import (
     _drop_projector_cups,
     _matching,
     _stack,
+    _times_block,
     _times_generator,
     colored_jones,
     crossing_block,
@@ -431,6 +432,48 @@ def test_times_generator_matches_dense_product(cable):
                 assert _times_generator(x, i, over_diag) == dense
 
 
+def _zero_free(x):
+    """No term of x has a zero coefficient, nor a zero exponent entry."""
+    return all(c and all(c.coeffs.values()) for c in x.terms.values())
+
+
+@pytest.mark.parametrize("cable", [1, 2, 3])
+def test_kernels_cancel_to_zero_free_elements(cable):
+    # Each random element is first multiplied by inverse crossings, so
+    # stacking the crossings back cancels most of the coefficients.
+    rng = random.Random(40 + cable)
+    width = 2 * cable
+    for over_diag in (0, 1):
+        x = _random_element(rng, width)
+        for i in range(1, width):
+            undone = _times_generator(_times_generator(x, i, 1 - over_diag), i, over_diag)
+            assert undone == x and _zero_free(undone)
+        for count in (1, 2):
+            y = x
+            for _ in range(count):
+                y = tl_multiply(y, crossing_block(cable, 1 - over_diag))
+                assert _zero_free(y)
+            # count * cable**2 generators, one by one, each with its own shift
+            stepwise = y
+            for _ in range(count):
+                for t in range(cable):
+                    for i in range(cable - t, 2 * cable - t):
+                        stepwise = _times_generator(stepwise, i, over_diag)
+                        assert _zero_free(stepwise)
+            block = _times_block(y, cable, over_diag, count)
+            assert block == stepwise == x and _zero_free(block)
+            if count == 1:
+                back = tl_multiply(y, crossing_block(cable, over_diag))
+                assert back == x and _zero_free(back)
+    # a crossing undone along a run: the identity, turned for a vertical run
+    ident = TLElement.identity(width)
+    for axis, turn in (("h", 0), ("v", cable)):
+        undone = tangle_element([(axis, 1, 1), (axis, 1, -1)], cable)
+        assert undone == rotate(ident, turn) and _zero_free(undone)
+        twisted = tangle_element([(axis, 2, 1), ("h", 1, -1), ("v", 1, -1)], cable)
+        assert _zero_free(twisted)
+
+
 @pytest.mark.parametrize("cable", [1, 2, 3])
 def test_crossing_block_is_the_braid_word(cable):
     for over_diag in (0, 1):
@@ -626,6 +669,32 @@ FROZEN_COLOR4 = [
 @pytest.mark.parametrize("spec, text", FROZEN_COLOR4, ids=[s for s, _ in FROZEN_COLOR4])
 def test_frozen_color4_polynomials(spec, text):
     assert colored_jones(parse_knot_spec(spec), 4) == parse_poly(text)
+
+
+# Whole colour-5 polynomials (cable width 4), recorded from the state sum
+# that accumulated every coefficient through LaurentPoly + and *, one
+# new polynomial per addend, before the in-place kernels replaced it.
+FROZEN_COLOR5 = [
+    (
+        "p:1,1,1",
+        "v^144 - v^136 - v^132 - v^128 + v^116 + v^112 + v^108 + v^104 + v^100"
+        " - v^84 - v^80 - v^76 - v^72 - v^68 - v^64 - v^60 + v^40 + v^36 + v^32"
+        " + v^28 + v^24 + v^20 + v^16 + v^12 + v^8",
+    ),
+    (
+        "p:-3,-1,-1",
+        "v^-8 + v^-20 + v^-24 + 2*v^-28 - v^-36 + v^-44 + 4*v^-48 + v^-52 - v^-56"
+        " - v^-60 + 2*v^-68 - v^-76 - v^-80 - v^-84 + v^-88 - v^-96 - v^-100"
+        " - v^-104 - 2*v^-108 - v^-112 - v^-128 + v^-132 + 2*v^-136 + v^-140"
+        " - v^-148 + v^-152 + 2*v^-156 - v^-164 - 2*v^-168 + v^-176 + v^-180"
+        " - 2*v^-188 + v^-196 + v^-200 + v^-204 - v^-208 - v^-212 - v^-216 + v^-224",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, text", FROZEN_COLOR5, ids=[s for s, _ in FROZEN_COLOR5])
+def test_frozen_color5_polynomials(spec, text):
+    assert colored_jones(parse_knot_spec(spec), 5, color_cap=5) == parse_poly(text)
 
 
 def test_worked_example_spans():
