@@ -12,15 +12,16 @@ to bottom point a + b - 1 - p of the upper one, and the same expression
 maps back.
 
 A product stacks every term of the upper element on every term of the
-lower one.  For each upper term, the lower coefficients are summed per
-(output matching, loop count), scaled by the loop power (narrow: loops
-+ 1 monomials) once per key and summed per output matching; each
-non-zero sum is then multiplied by the upper coefficient once.  So the
-wide coefficient products number one per (upper term, output matching),
-not one per pair of terms.  The closure likewise sums coefficients per
-loop count before multiplying by the loop power.  All of them accumulate
-in place in raw {exponent: coeff} dicts and wrap each surviving
-coefficient into a LaurentPoly once, at the end.
+lower one.  For each term of the element with fewer terms, the other
+element's coefficients are summed per (output matching, loop count),
+scaled by the loop power (narrow: loops + 1 monomials) once per key and
+summed per output matching; each non-zero sum is then multiplied by that
+term's coefficient once.  So the wide coefficient products number one
+per (term of the smaller element, output matching), not one per pair of
+terms.  The closure likewise sums coefficients per loop count before
+multiplying by the loop power.  All of them accumulate in place in raw
+{exponent: coeff} dicts and wrap each surviving coefficient into a
+LaurentPoly once, at the end.
 
 Tangles are evaluated in the same boxed form the diagram builder uses:
 a crossing box is a width-2n braid block crossing two n-strand bundles,
@@ -30,12 +31,20 @@ swap of partners, or one loop), so a crossing costs time linear in the
 number of terms: the identity smoothing keeps each coefficient, only the
 e_i targets accumulate, and a run of blocks carries one v^k shift.  A
 horizontal run stacks blocks on top; a vertical run does the same on
-the tangle turned a quarter turn, then turns it back.  The cable of a
-knot is built bottom to top without the projector: matchings the
-projector would kill are dropped as they appear, and the projector is
-multiplied in once, just before the closure.  The crossing smoothing
-weights are fixed by the same chirality convention as the diagrams,
-``diagrams.over_diagonal`` (see ``KAPPA`` and the tests).
+the tangle turned a quarter turn, then turns it back.
+
+The cable of a knot carries a Jones-Wenzl projector on each of its two
+bottom bundles: the cable is one band, so a projector slides along it,
+and two give the same bracket as one because a projector is idempotent.
+The running element is built bottom to top without them.  A term with
+a cup inside either bottom bundle is killed by the projectors, and
+stacking on top never removes a bottom cup, so the kernels skip such
+terms before any coefficient work (their cable argument).  The closure
+is one cached trace per surviving matching m, the closure of the two
+projectors stacked under m, so no projector product is formed per
+knot.  The crossing smoothing weights are fixed by the same chirality
+convention as the diagrams, ``diagrams.over_diagonal`` (see ``KAPPA``
+and the tests).
 """
 from __future__ import annotations
 
@@ -202,29 +211,43 @@ def _wrap(raw: dict, shift: int = 0) -> dict:
     return {m: LaurentPoly.wrap(d) for m, d in shifted if d}
 
 
-def tl_multiply(x: TLElement, y: TLElement) -> TLElement:
+def _killed(m: PlanarMatching, cable: int) -> bool:
+    """Whether m has a cup inside bottom bundle 1 (points 0..cable-1) or
+    bottom bundle 2 (cable..2*cable-1), so that the projectors stacked
+    below it kill it.  A cup inside a bundle encloses one that joins
+    neighbours, so only neighbours are checked."""
+    return any(m[i] == i + 1 for i in range(2 * cable - 1) if i != cable - 1)
+
+
+def tl_multiply(x: TLElement, y: TLElement, cable: int = 0) -> TLElement:
     """Stack y on top of x (compose x then y), grouped per output
-    matching for each term of y (see the module docstring)."""
+    matching for each term of the element with fewer terms (see the
+    module docstring).  With cable > 0, x is a cable's running element:
+    an output matching that _killed rejects is skipped before any
+    coefficient work."""
     if x.b != y.a:
         raise ValueError(f"arity mismatch: {x.b} outputs into {y.a} inputs")
     a, b = x.a, x.b
+    x_outer = len(x.terms) < len(y.terms)
+    outer, inner = (x, y) if x_outer else (y, x)
     out = {}
-    for my, cy in y.terms.items():
-        keyed = {}
-        for mx, cx in x.terms.items():
-            key = _stack(mx, my, a, b)
+    for mo, co in outer.terms.items():
+        keyed = {}  # (matching, loops) -> raw sum, or None when killed
+        for mi, ci in inner.terms.items():
+            key = _stack(mo, mi, a, b) if x_outer else _stack(mi, mo, a, b)
             acc = keyed.get(key)
-            if acc is None:
-                keyed[key] = dict(cx.coeffs)
-            else:
-                _addmul(acc, cx.coeffs)
+            if acc is not None:
+                _addmul(acc, ci.coeffs)
+            elif key not in keyed:
+                keyed[key] = None if cable and _killed(key[0], cable) else dict(ci.coeffs)
         groups = {}
         for (m, loops), c in keyed.items():
-            _addmul(groups.setdefault(m, {}), c, _loop_power(loops).coeffs)
+            if c is not None:
+                _addmul(groups.setdefault(m, {}), c, _loop_power(loops).coeffs)
         for m, c in groups.items():
             c = {e: v for e, v in c.items() if v}
             if c:
-                _addmul(out.setdefault(m, {}), c, cy.coeffs)
+                _addmul(out.setdefault(m, {}), c, co.coeffs)
     return TLElement(a, y.b, _wrap(out))
 
 
@@ -279,14 +302,18 @@ def markov_closure(x: TLElement) -> LaurentPoly:
 # crossing blocks and tangle assembly
 
 
-def _times_word(x: TLElement, word, over_diag: int) -> TLElement:
+def _times_word(x: TLElement, word, over_diag: int, cable: int = 0) -> TLElement:
     """Stack the braid generators v^k 1 + v^-k e_i for i in word on top
     of x, where k = KAPPA for over_diag 0 and -KAPPA otherwise, each as
     1 + v^-2k e_i; the factors v^k are one shift, at the wrap.  An e_i
-    target is copied on its first write, so no input dict changes."""
+    target is copied on its first write, so no input dict changes.  With
+    cable > 0, x is a cable's running element: its terms that _killed
+    rejects are dropped, and so is an e_i target that joins two points
+    of one bottom bundle, before any coefficient work."""
     k = KAPPA if over_diag == 0 else -KAPPA
     loop, down = LOOP.shift(-2 * k).coeffs, {-2 * k: 1}
-    terms = {m: c.coeffs for m, c in x.terms.items()}
+    bottom = 2 * cable  # points below this lie in the bottom bundles
+    terms = {m: c.coeffs for m, c in x.terms.items() if not (cable and _killed(m, cable))}
     for i in word:
         # labels of the top points on strands i-1 and i (counted from the left)
         u = x.a + x.b - i
@@ -298,8 +325,10 @@ def _times_word(x: TLElement, word, over_diag: int) -> TLElement:
             if m[u] == w:  # u and w already meet: one closed loop
                 turned, weight = m, loop
             else:
-                p = list(m)
                 a, b = m[u], m[w]
+                if a < bottom and b < bottom and (a < cable) == (b < cable):
+                    continue  # a new cup inside one bottom bundle
+                p = list(m)
                 p[a], p[b], p[u], p[w] = b, a, w, u
                 turned, weight = tuple(p), down
             if turned not in owned:
@@ -310,15 +339,13 @@ def _times_word(x: TLElement, word, over_diag: int) -> TLElement:
     return TLElement(x.a, x.b, _wrap(terms, k * len(word)))
 
 
-def _times_generator(x: TLElement, i: int, over_diag: int) -> TLElement:
-    """Stack one braid generator on top of x (see _times_word)."""
-    return _times_word(x, [i], over_diag)
-
-
-def _times_block(x: TLElement, cable: int, over_diag: int, count: int = 1) -> TLElement:
-    """Stack count crossing blocks of two cable-strand bundles on top of x."""
+def _times_block(
+    x: TLElement, cable: int, over_diag: int, count: int = 1, drop: bool = False
+) -> TLElement:
+    """Stack count crossing blocks of two cable-strand bundles on top of
+    x; with drop, x is a cable's running element (see _times_word)."""
     word = [i for t in range(cable) for i in range(cable - t, 2 * cable - t)]
-    return _times_word(x, count * word, over_diag)
+    return _times_word(x, count * word, over_diag, cable if drop else 0)
 
 
 @lru_cache(maxsize=None)
@@ -357,15 +384,6 @@ def _is_braid_like(runs) -> bool:
     after a first run that may be a single vertical crossing."""
     (axis, count, _), *rest = runs
     return (axis == "h" or count == 1) and all(a == "h" for a, _, _ in rest)
-
-
-def _drop_projector_cups(x: TLElement, cable: int) -> TLElement:
-    """Drop the matchings with a cup among the first cable bottom
-    points: the projector stacked below them kills them."""
-    terms = {
-        m: c for m, c in x.terms.items() if all(m[i] >= cable for i in range(cable))
-    }
-    return TLElement(x.a, x.b, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -430,20 +448,34 @@ def theta(a: int, b: int, c: int) -> LaurentPoly:
 # colored Jones evaluation
 
 
+@lru_cache(maxsize=None)
+def _projector_trace(m: PlanarMatching, cable: int) -> LaurentPoly:
+    """Closure of tensor(P, P) stacked under the single matching m,
+    where P is jw_projector(cable)'s numerator."""
+    proj, _ = jw_projector(cable)
+    width = 2 * cable
+    single = TLElement(width, width, {m: LaurentPoly.one()})
+    return markov_closure(tl_multiply(tensor(proj, proj), single))
+
+
 def _projected_bracket(knot, cable: int) -> LaurentPoly:
-    """Kauffman bracket of the cable with one projector inserted."""
+    """Kauffman bracket of the cable with a projector on each bottom
+    bundle.  The cable of a knot is one band, so the projector of one
+    bundle slides round to the other, and a projector is idempotent: two
+    give the bracket with one inserted."""
     element = TLElement.identity(2 * cable)
     for runs in knot.twist_runs:
         # a braid word is stacked onto the running element directly
         if _is_braid_like(runs):
             for axis, count, sense in runs:
-                element = _times_block(element, cable, over_diagonal(sense), count)
+                element = _times_block(element, cable, over_diagonal(sense), count, drop=True)
         else:
-            element = tl_multiply(element, tangle_element(runs, cable))
-        element = _drop_projector_cups(element, cable)
-    proj, denom = jw_projector(cable)
-    element = tl_multiply(tensor(proj, TLElement.identity(cable)), element)
-    return markov_closure(element).exact_div(denom)
+            element = tl_multiply(element, tangle_element(runs, cable), cable)
+    _, denom = jw_projector(cable)
+    total = {}
+    for m, c in element.terms.items():
+        _addmul(total, c.coeffs, _projector_trace(m, cable).coeffs)
+    return LaurentPoly(total).exact_div(denom * denom)
 
 
 def colored_jones(knot, n: int, color_cap: int = DEFAULT_COLOR_CAP) -> LaurentPoly:

@@ -4,6 +4,10 @@
 ``planar_euler_check`` and ``pd_code`` read a standard diagram back in
 two independent ways; ``colored_jones_unknot`` evaluates the unknot on a
 crossingless round diagram, a reference value for the skein oracle.
+``colored_jones_one_projector`` is the earlier closure of the cable,
+with one projector below it, a reference for ``colored_jones``;
+``_drop_projector_cups`` is the drop rule written out point by point,
+and ``_times_generator`` stacks one braid generator.
 ``mirror`` substitutes v -> v^-1 and ``report_json`` renders a report's
 JSON text.  The three ``_*_entries`` recipes and ``ladder_search`` are
 the earlier hand-derived edge-path expansions and ladder depth search,
@@ -12,15 +16,19 @@ kept as a reference for ``negative_cfe`` and the closed-form depth.
 import json
 import re
 
-from slopelab.diagrams import Diagram, _traverse, crossing_signs
+from slopelab.diagrams import Diagram, _traverse, crossing_signs, over_diagonal
 from slopelab.errors import ColorTooLarge
 from slopelab.laurent import LaurentPoly
 from slopelab.tl import (
     DEFAULT_COLOR_CAP,
     TLElement,
+    _is_braid_like,
     _matching,
+    _times_block,
+    _times_word,
     jw_projector,
     markov_closure,
+    tangle_element,
     tensor,
     tl_multiply,
 )
@@ -93,6 +101,47 @@ def colored_jones_unknot(n: int, color_cap: int = DEFAULT_COLOR_CAP) -> LaurentP
     )
     value = markov_closure(element).exact_div(denom)
     return value if cable % 2 == 0 else value * -1
+
+
+def _times_generator(x: TLElement, i: int, over_diag: int) -> TLElement:
+    """Stack one braid generator on top of x (see ``tl._times_word``)."""
+    return _times_word(x, [i], over_diag)
+
+
+def _drop_projector_cups(x: TLElement, cable: int, bundles: int = 2) -> TLElement:
+    """Drop the matchings that join two bottom points of one bundle,
+    among the first ``bundles`` bundles of cable points: a projector
+    stacked below that bundle kills them."""
+    edge = bundles * cable
+    terms = {
+        m: c
+        for m, c in x.terms.items()
+        if not any(m[i] < edge and m[i] // cable == i // cable for i in range(edge))
+    }
+    return TLElement(x.a, x.b, terms)
+
+
+def colored_jones_one_projector(knot, n: int) -> LaurentPoly:
+    """``colored_jones`` by the earlier closure: the cable is built with
+    the unfiltered kernels, dropping only the matchings that P_c on the
+    first bundle kills, then P_c tensor 1 is stacked below it and the
+    Markov closure divided by P_c's denominator."""
+    cable = n - 1
+    if cable == 0:
+        return LaurentPoly.one()
+    element = TLElement.identity(2 * cable)
+    for runs in knot.twist_runs:
+        if _is_braid_like(runs):
+            for axis, count, sense in runs:
+                element = _times_block(element, cable, over_diagonal(sense), count)
+        else:
+            element = tl_multiply(element, tangle_element(runs, cable))
+        element = _drop_projector_cups(element, cable, bundles=1)
+    proj, denom = jw_projector(cable)
+    element = tl_multiply(tensor(proj, TLElement.identity(cable)), element)
+    bracket = markov_closure(element).exact_div(denom)
+    framing = LaurentPoly.term(1 if cable % 2 == 0 else -1, -knot.writhe * (n * n - 1))
+    return framing * bracket
 
 
 _TERM_RE = re.compile(

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 import slopelab
-from slopelab.errors import ColorTooLarge, InadmissibleTriple
+from slopelab.degrees import montesinos_js_jx
+from slopelab.errors import ColorTooLarge, InadmissibleTriple, SlopelabError
 from slopelab.knots import MontesinosKnot, PretzelKnot, parse_knot_spec
 from slopelab.laurent import LaurentPoly
 from slopelab.tl import (
@@ -15,11 +16,11 @@ from slopelab.tl import (
     KAPPA,
     LOOP,
     TLElement,
-    _drop_projector_cups,
+    _killed,
     _matching,
     _stack,
     _times_block,
-    _times_generator,
+    _times_word,
     colored_jones,
     crossing_block,
     delta_n,
@@ -32,7 +33,14 @@ from slopelab.tl import (
     tl_multiply,
 )
 from slopelab.diagrams import over_diagonal
-from support import colored_jones_unknot, mirror, parse_poly
+from support import (
+    _drop_projector_cups,
+    _times_generator,
+    colored_jones_one_projector,
+    colored_jones_unknot,
+    mirror,
+    parse_poly,
+)
 
 
 def quantum_int(n):
@@ -509,13 +517,46 @@ def test_dropped_matchings_are_killed_by_projector(cable):
         width, width, {m: LaurentPoly.one() for m in _planar_matchings(2 * width)}
     )
     kept = _drop_projector_cups(every, cable)
-    dropped = set(every.terms) - set(kept.terms)
-    assert bool(dropped) == (cable > 1)
+    assert len(kept.terms) == {1: 2, 2: 6, 3: 20}[cable]
+    assert set(kept.terms) == {m for m in every.terms if not _killed(m, cable)}
     proj, _ = jw_projector(cable)
-    bottom = tensor(proj, TLElement.identity(cable))
-    for m in dropped:
+    bottom = tensor(proj, proj)
+    for m in every.terms:
         single = TLElement(width, width, {m: LaurentPoly.one()})
-        assert tl_multiply(bottom, single) == TLElement(width, width, {})
+        killed = tl_multiply(bottom, single) == TLElement(width, width, {})
+        assert killed == (m not in kept.terms)
+
+
+def _random_word(rng, width, length):
+    return [rng.randrange(1, width) for _ in range(length)]
+
+
+@pytest.mark.parametrize("cable", [1, 2, 3])
+def test_kernels_drop_killed_terms(cable):
+    # Every planar matching may be drawn, killed ones among them, so the
+    # filtered kernels are checked on inputs that are not filtered yet.
+    rng = random.Random(70 + cable)
+    width = 2 * cable
+    for _ in range(3):
+        x = _random_element(rng, width)
+        for y in (_random_element(rng, width), tangle_element([("v", 2, 1)], cable)):
+            plain = tl_multiply(x, y)
+            assert plain == _glued_product(x, y)
+            assert tl_multiply(x, y, 0) == plain
+            assert tl_multiply(x, y, cable) == _drop_projector_cups(plain, cable)
+        words = [_random_word(rng, width, 6)]
+        words.append([i for t in range(cable) for i in range(cable - t, 2 * cable - t)])
+        for word in words:
+            for over_diag in (0, 1):
+                plain = x
+                for i in word:
+                    plain = tl_multiply(plain, _dense_generator(width, i, over_diag))
+                assert _times_word(x, word, over_diag) == plain
+                assert _times_word(x, word, over_diag, 0) == plain
+                dropped = _drop_projector_cups(plain, cable)
+                assert _times_word(x, word, over_diag, cable) == dropped
+        dropped = _drop_projector_cups(_times_block(x, cable, 1, 2), cable)
+        assert _times_block(x, cable, 1, 2, drop=True) == dropped
 
 
 @pytest.mark.parametrize("cable", [1, 2, 3])
@@ -695,6 +736,53 @@ FROZEN_COLOR5 = [
 @pytest.mark.parametrize("spec, text", FROZEN_COLOR5, ids=[s for s, _ in FROZEN_COLOR5])
 def test_frozen_color5_polynomials(spec, text):
     assert colored_jones(parse_knot_spec(spec), 5, color_cap=5) == parse_poly(text)
+
+
+# The jones_c4 benchmark knots and the mirrors of its pretzels, plus two
+# larger knots with long vertical runs.
+ONE_PROJECTOR_SPECS = [
+    "p:-3,-1,-1", "p:3,1,1", "p:1,1,1", "p:-1,-1,-1", "p:-3,-1,1", "p:3,1,-1",
+    "m:-1/2,1/3,2/3", "p:-3,3,3", "p:3,-3,-3", "m:-3/11,2/7,2/5", "p:-7,5,7,3,5",
+]
+
+
+@pytest.mark.parametrize("spec", ONE_PROJECTOR_SPECS)
+def test_colored_jones_matches_one_projector_closure(spec):
+    knot = parse_knot_spec(spec)
+    for n in (2, 3, 4):
+        assert colored_jones(knot, n) == colored_jones_one_projector(knot, n)
+
+
+def _strict_sweep(seed, count):
+    """count distinct strict knots: half pretzels with odd twists 3..7
+    (3..5 with five tangles), half Montesinos knots whose fractions are
+    -1/(q0 +- 1/b) and 1/(q + 1/a), q0 odd in 3..7, q even in 2..6 and
+    a, b in 1..3, kept when montesinos_js_jx accepts them."""
+    rng = random.Random(seed)
+    knots = {}
+    while len(knots) < count // 2:
+        top = rng.choice((7, 7, 5))
+        q = [rng.randrange(3, top + 1, 2) for _ in range(3 if top == 7 else 5)]
+        knot = PretzelKnot((-q[0], *q[1:]))
+        knots[knot.spec()] = knot
+    while len(knots) < count:
+        q0 = rng.randrange(3, 8, 2)
+        fractions = [-1 / (q0 + Fraction(rng.choice((1, -1)), rng.randrange(1, 4)))]
+        for _ in range(rng.choice((2, 2, 4))):
+            fractions.append(1 / (rng.randrange(2, 7, 2) + Fraction(1, rng.randrange(1, 4))))
+        try:
+            knot = MontesinosKnot.from_fractions(fractions)
+            montesinos_js_jx(knot)
+        except SlopelabError:
+            continue
+        knots[knot.spec()] = knot
+    return list(knots.values())
+
+
+def test_colored_jones_matches_one_projector_closure_sweep():
+    for knot in _strict_sweep(17, 64):
+        for n in (2, 3):
+            assert colored_jones(knot, n) == colored_jones_one_projector(knot, n), knot.spec()
 
 
 def test_worked_example_spans():
