@@ -3,7 +3,9 @@
 Four subcommands: ``verify`` runs the three-way consistency check on
 one knot, ``scan`` sweeps a family (or lists the degenerate boundary
 vectors), ``qip`` solves a separable lattice minimization, and
-``jones`` evaluates a colored polynomial directly.  Exit status 0
+``jones`` evaluates a colored polynomial directly.  Each command
+returns its exit status, its report lines and its JSON payload, and
+``main`` prints the lines, writes the payload, or both.  Exit status 0
 means pass/complete, 1 a failed check, 2 bad input.
 """
 from __future__ import annotations
@@ -20,68 +22,42 @@ from .knots import parse_knot_spec
 from .verify import scan, verify
 
 
-def _write_json(payload, path: str):
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path == "-":
-        print(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
-
-
-def _json_only(args) -> bool:
-    """With --json - the payload owns stdout; suppress the report text."""
-    return args.json == "-"
-
-
-def _print_report(report):
+def _report_lines(report) -> list:
     deg = report.degree
-    print(
+    lines = [
         f"knot {report.knot} ({report.family}, {report.crossings} crossings, "
-        f"writhe {report.writhe})"
-    )
-    print(
+        f"writhe {report.writhe})",
         f"degree: js = {deg.js}  jx = {deg.jx}  case {deg.case}"
-        + ("" if deg.strict_ok else "  [outside strict hypotheses]")
-    )
-    print(
+        + ("" if deg.strict_ok else "  [outside strict hypotheses]"),
         f"surface: {report.degree.surface_hint}  M = {report.surface.M}  "
-        f"slope {report.slope}  2chi/M {report.euler}  {report.verdict}"
-    )
+        f"slope {report.slope}  2chi/M {report.euler}  {report.verdict}",
+    ]
     for check in report.oracle:
         state = "ok" if check.match else "MISMATCH"
-        print(
+        lines.append(
             f"oracle color {check.color}: minimal degree "
             f"{check.measured_min_degree} (predicted "
             f"{check.predicted_min_degree}) {state}"
         )
-    for reason in report.reasons:
-        print(f"reason: {reason}")
-    print("PASS" if report.passed else "FAIL")
+    lines += [f"reason: {reason}" for reason in report.reasons]
+    lines.append("PASS" if report.passed else "FAIL")
+    return lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     report = verify(args.knot, oracle_colors=args.oracle_n, force=args.force)
-    if not _json_only(args):
-        _print_report(report)
-    if args.json:
-        _write_json(report.to_json_dict(), args.json)
-    return 0 if report.passed else 1
+    return 0 if report.passed else 1, _report_lines(report), report.to_json_dict()
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args):
     counts = tuple(args.m) if args.m else (2,)
     if args.exceptional:
         found = exceptional_scan(
             q0_min=args.q0_min, qi_max=args.qi_max, ms=counts if args.m else (2, 3)
         )
-        if not _json_only(args):
-            for q in found:
-                print("exceptional:", ",".join(str(v) for v in q))
-            print(f"{len(found)} degenerate twist vectors")
-        if args.json:
-            _write_json([list(q) for q in found], args.json)
-        return 0
+        lines = ["exceptional: " + ",".join(str(v) for v in q) for q in found]
+        lines.append(f"{len(found)} degenerate twist vectors")
+        return 0, lines, [list(q) for q in found]
     reports = scan(
         q0_min=args.q0_min,
         qi_max=args.qi_max,
@@ -89,23 +65,17 @@ def _cmd_scan(args) -> int:
         oracle_colors=args.oracle_n,
         force=args.force,
     )
-    failed = 0
-    for report in reports:
-        status = "PASS" if report.passed else "FAIL"
-        failed += not report.passed
-        if not _json_only(args):
-            print(
-                f"{status} {report.knot}: slope {report.slope}, "
-                f"2chi/M {report.euler}, {report.verdict}"
-            )
-    if not _json_only(args):
-        print(f"{len(reports)} knots checked, {failed} failures")
-    if args.json:
-        _write_json([r.to_json_dict() for r in reports], args.json)
-    return 1 if failed else 0
+    failed = sum(not r.passed for r in reports)
+    lines = [
+        f"{'PASS' if r.passed else 'FAIL'} {r.knot}: slope {r.slope}, "
+        f"2chi/M {r.euler}, {r.verdict}"
+        for r in reports
+    ]
+    lines.append(f"{len(reports)} knots checked, {failed} failures")
+    return 1 if failed else 0, lines, [r.to_json_dict() for r in reports]
 
 
-def _cmd_qip(args) -> int:
+def _cmd_qip(args):
     a = [int(v) for v in args.a.split(",")]
     b = [int(v) for v in args.b.split(",")]
     f = SeparableQuadratic(tuple(a), tuple(b))
@@ -116,28 +86,22 @@ def _cmd_qip(args) -> int:
         "certificate_checked": opt.certificate_checked,
         "period": varpi(f),
     }
-    if not _json_only(args):
-        print(f"minimizer {opt.minimizer}")
-        print(f"value {opt.value}")
-        print(f"certificate_checked {opt.certificate_checked}")
-        print(f"period {payload['period']}")
-    if args.json:
-        _write_json(payload, args.json)
-    return 0
+    lines = [
+        f"minimizer {opt.minimizer}",
+        f"value {opt.value}",
+        f"certificate_checked {opt.certificate_checked}",
+        f"period {payload['period']}",
+    ]
+    return 0, lines, payload
 
 
-def _cmd_jones(args) -> int:
+def _cmd_jones(args):
     knot = parse_knot_spec(args.knot)
     poly = colored_jones(knot, args.n)
     pairs = sorted((e, c) for e, c in poly.coeffs.items())
-    if not _json_only(args):
-        print(f"color {args.n}: degrees [{poly.min_degree()}, {poly.degree()}]")
-        print(poly)
-        for exp, coeff in pairs:
-            print(f"{exp} {coeff}")
-    if args.json:
-        _write_json({"color": args.n, "coefficients": pairs}, args.json)
-    return 0
+    lines = [f"color {args.n}: degrees [{poly.min_degree()}, {poly.degree()}]"]
+    lines += [str(poly)] + [f"{exp} {coeff}" for exp, coeff in pairs]
+    return 0, lines, {"color": args.n, "coefficients": pairs}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,7 +166,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status, lines, payload = args.func(args)
+        # with --json - the payload owns stdout; the report comes first
+        # otherwise, so an unwritable path still prints it
+        if args.json != "-":
+            print(*lines, sep="\n")
+        if args.json:
+            text = json.dumps(payload, indent=2, sort_keys=True)
+            if args.json == "-":
+                print(text)
+            else:
+                with open(args.json, "w", encoding="ascii") as fh:
+                    fh.write(text + "\n")
+        return status
     except (SlopelabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

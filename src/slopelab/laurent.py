@@ -5,6 +5,31 @@ raise ``ValueError`` on it, and callers test for zero first.
 """
 from __future__ import annotations
 
+ONE = {0: 1}  # raw form of 1
+
+
+def addmul(acc: dict, a: dict, b: dict = ONE) -> None:
+    """acc += a * b on raw {exponent: coeff} dicts, in place; zero entries
+    stay for the caller to drop.  The shorter factor runs in the outer
+    loop, so a plain add (b = ONE) or a shift costs one pass over a."""
+    if len(b) > len(a):
+        a, b = b, a
+    get = acc.get
+    for e2, c2 in b.items():
+        for e1, c1 in a.items():
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+
+
+def _raw(x) -> dict:
+    """The raw coefficient dict of a LaurentPoly or an int."""
+    return {0: x} if isinstance(x, int) else x.coeffs
+
+
+def _nonzero(raw: dict) -> LaurentPoly:
+    """Wrap a raw dict, dropping its zero coefficients."""
+    return LaurentPoly.wrap({e: c for e, c in raw.items() if c})
+
 
 class LaurentPoly:
     """Integer Laurent polynomial, stored as {exponent: nonzero coeff}."""
@@ -50,19 +75,14 @@ class LaurentPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if self.coeffs.keys() <= {0}:  # a constant hashes as its int
+            return hash(self.coeffs.get(0, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
         out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly.wrap(out)
+        addmul(out, _raw(other))
+        return _nonzero(out)
 
     __radd__ = __add__
 
@@ -70,28 +90,15 @@ class LaurentPoly:
         return LaurentPoly.wrap({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return LaurentPoly()
-            return LaurentPoly.wrap({e: c * other for e, c in self.coeffs.items()})
         out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPoly.wrap(out)
+        addmul(out, self.coeffs, _raw(other))
+        return _nonzero(out)
 
     __rmul__ = __mul__
 

@@ -20,8 +20,8 @@ term's coefficient once.  So the wide coefficient products number one
 per (term of the smaller element, output matching), not one per pair of
 terms.  The closure likewise sums coefficients per loop count before
 multiplying by the loop power.  All of them accumulate in place in raw
-{exponent: coeff} dicts and wrap each surviving coefficient into a
-LaurentPoly once, at the end.
+{exponent: coeff} dicts (``laurent.addmul``) and wrap each surviving
+coefficient into a LaurentPoly once, at the end.
 
 Tangles are evaluated in the same boxed form the diagram builder uses:
 a crossing box is a width-2n braid block crossing two n-strand bundles,
@@ -30,8 +30,11 @@ Stacking one generator on an element rewrites each matching in place (a
 swap of partners, or one loop), so a crossing costs time linear in the
 number of terms: the identity smoothing keeps each coefficient, only the
 e_i targets accumulate, and a run of blocks carries one v^k shift.  A
-horizontal run stacks blocks on top; a vertical run does the same on
-the tangle turned a quarter turn, then turns it back.
+horizontal run stacks its blocks' word on top; a vertical run does the
+same on the tangle turned a quarter turn, then turns it back.  A tangle
+that is a single crossing (a pretzel entry +-1) is stacked onto the
+running element in place; any other tangle is assembled on its own
+and multiplied in.
 
 The cable of a knot carries a Jones-Wenzl projector on each of its two
 bottom bundles: the cable is one band, so a projector slides along it,
@@ -53,7 +56,7 @@ from functools import lru_cache
 from .diagrams import over_diagonal
 from .errors import ColorTooLarge, InadmissibleTriple
 from .knots import require_knot
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, addmul
 
 # Smoothing weight of a crossing whose over strand runs along the
 # NW-SE diagonal (over_diagonal == 0): v^KAPPA on the through-going
@@ -67,7 +70,6 @@ DEFAULT_COLOR_CAP = 4
 PlanarMatching = tuple  # partner tuple: PlanarMatching[i] == j iff i -- j
 
 LOOP = LaurentPoly({-2: -1, 2: -1})
-ONE = {0: 1}  # raw form of 1
 
 
 def _matching(pairs, size) -> PlanarMatching:
@@ -107,8 +109,6 @@ class TLElement:
         return cls(n, n, {_matching(pairs, size): LaurentPoly.one()})
 
     def scale(self, poly) -> "TLElement":
-        if isinstance(poly, int):
-            poly = LaurentPoly({0: poly})
         terms = {}
         for m, c in self.terms.items():
             c = c * poly
@@ -123,7 +123,7 @@ class TLElement:
             )
         terms = {m: dict(c.coeffs) for m, c in self.terms.items()}
         for m, c in other.terms.items():
-            _addmul(terms.setdefault(m, {}), c.coeffs)
+            addmul(terms.setdefault(m, {}), c.coeffs)
         return TLElement(self.a, self.b, _wrap(terms))
 
     def __sub__(self, other) -> "TLElement":
@@ -192,19 +192,6 @@ def _loop_power(loops: int) -> LaurentPoly:
     return LOOP**loops
 
 
-def _addmul(acc: dict, a: dict, b: dict = ONE) -> None:
-    """acc += a * b on raw {exponent: coeff} dicts, in place; zero entries
-    stay until _wrap.  The shorter factor runs in the outer loop, so a
-    plain add (b = ONE) or a shift costs one pass over a."""
-    if len(b) > len(a):
-        a, b = b, a
-    get = acc.get
-    for e2, c2 in b.items():
-        for e1, c1 in a.items():
-            e = e1 + e2
-            acc[e] = get(e, 0) + c1 * c2
-
-
 def _wrap(raw: dict, shift: int = 0) -> dict:
     """Wrap each raw coefficient once (times v^shift), dropping zeros."""
     shifted = ((m, {e + shift: c for e, c in d.items() if c}) for m, d in raw.items())
@@ -237,17 +224,17 @@ def tl_multiply(x: TLElement, y: TLElement, cable: int = 0) -> TLElement:
             key = _stack(mo, mi, a, b) if x_outer else _stack(mi, mo, a, b)
             acc = keyed.get(key)
             if acc is not None:
-                _addmul(acc, ci.coeffs)
+                addmul(acc, ci.coeffs)
             elif key not in keyed:
                 keyed[key] = None if cable and _killed(key[0], cable) else dict(ci.coeffs)
         groups = {}
         for (m, loops), c in keyed.items():
             if c is not None:
-                _addmul(groups.setdefault(m, {}), c, _loop_power(loops).coeffs)
+                addmul(groups.setdefault(m, {}), c, _loop_power(loops).coeffs)
         for m, c in groups.items():
             c = {e: v for e, v in c.items() if v}
             if c:
-                _addmul(out.setdefault(m, {}), c, co.coeffs)
+                addmul(out.setdefault(m, {}), c, co.coeffs)
     return TLElement(a, y.b, _wrap(out))
 
 
@@ -291,10 +278,10 @@ def markov_closure(x: TLElement) -> LaurentPoly:
     by_loops = {}
     for m, c in x.terms.items():
         _, loops = _stack(m, closure, 0, size)
-        _addmul(by_loops.setdefault(loops, {}), c.coeffs)
+        addmul(by_loops.setdefault(loops, {}), c.coeffs)
     total = {}
     for loops, c in by_loops.items():
-        _addmul(total, c, _loop_power(loops).coeffs)
+        addmul(total, c, _loop_power(loops).coeffs)
     return LaurentPoly(total)
 
 
@@ -334,24 +321,20 @@ def _times_word(x: TLElement, word, over_diag: int, cable: int = 0) -> TLElement
             if turned not in owned:
                 owned.add(turned)
                 out[turned] = dict(out.get(turned, ()))
-            _addmul(out[turned], c, weight)
+            addmul(out[turned], c, weight)
         terms = out
     return TLElement(x.a, x.b, _wrap(terms, k * len(word)))
 
 
-def _times_block(
-    x: TLElement, cable: int, over_diag: int, count: int = 1, drop: bool = False
-) -> TLElement:
-    """Stack count crossing blocks of two cable-strand bundles on top of
-    x; with drop, x is a cable's running element (see _times_word)."""
-    word = [i for t in range(cable) for i in range(cable - t, 2 * cable - t)]
-    return _times_word(x, count * word, over_diag, cable if drop else 0)
+def _block_word(cable: int) -> list:
+    """Generator word of one crossing of two cable-strand bundles."""
+    return [i for t in range(cable) for i in range(cable - t, 2 * cable - t)]
 
 
 @lru_cache(maxsize=None)
 def crossing_block(cable: int, over_diag: int) -> TLElement:
     """One crossing of two cable-strand bundles, as a width-2*cable braid."""
-    return _times_block(TLElement.identity(2 * cable), cable, over_diag)
+    return _times_word(TLElement.identity(2 * cable), _block_word(cable), over_diag)
 
 
 def tangle_element(runs, cable: int) -> TLElement:
@@ -369,21 +352,15 @@ def tangle_element(runs, cable: int) -> TLElement:
             element, count = crossing_block(cable, over_diag), count - 1
         if not count:
             continue
+        word = count * _block_word(cable)
         if axis == "h":
-            element = _times_block(element, cable, over_diag, count)
+            element = _times_word(element, word, over_diag)
         else:
-            turned = _times_block(rotate(element, cable), cable, 1 - over_diag, count)
+            turned = _times_word(rotate(element, cable), word, 1 - over_diag)
             element = rotate(turned, -cable)
     if element is None:
         raise ValueError("tangle has no crossings")
     return element
-
-
-def _is_braid_like(runs) -> bool:
-    """Whether the tangle is a plain braid word: horizontal runs only,
-    after a first run that may be a single vertical crossing."""
-    (axis, count, _), *rest = runs
-    return (axis == "h" or count == 1) and all(a == "h" for a, _, _ in rest)
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +442,16 @@ def _projected_bracket(knot, cable: int) -> LaurentPoly:
     give the bracket with one inserted."""
     element = TLElement.identity(2 * cable)
     for runs in knot.twist_runs:
-        # a braid word is stacked onto the running element directly
-        if _is_braid_like(runs):
-            for axis, count, sense in runs:
-                element = _times_block(element, cable, over_diagonal(sense), count, drop=True)
-        else:
+        (_, count, sense), *rest = runs
+        if rest or count > 1:
             element = tl_multiply(element, tangle_element(runs, cable), cable)
+        else:  # a single crossing (a pretzel entry +-1) is stacked in place
+            word = _block_word(cable)
+            element = _times_word(element, word, over_diagonal(sense), cable)
     _, denom = jw_projector(cable)
     total = {}
     for m, c in element.terms.items():
-        _addmul(total, c.coeffs, _projector_trace(m, cable).coeffs)
+        addmul(total, c.coeffs, _projector_trace(m, cable).coeffs)
     return LaurentPoly(total).exact_div(denom * denom)
 
 

@@ -16,15 +16,13 @@ kept as a reference for ``negative_cfe`` and the closed-form depth.
 import json
 import re
 
-from slopelab.diagrams import Diagram, _traverse, crossing_signs, over_diagonal
+from slopelab.diagrams import Diagram, _traverse, crossing_signs
 from slopelab.errors import ColorTooLarge
 from slopelab.laurent import LaurentPoly
 from slopelab.tl import (
     DEFAULT_COLOR_CAP,
     TLElement,
-    _is_braid_like,
     _matching,
-    _times_block,
     _times_word,
     jw_projector,
     markov_closure,
@@ -122,20 +120,17 @@ def _drop_projector_cups(x: TLElement, cable: int, bundles: int = 2) -> TLElemen
 
 
 def colored_jones_one_projector(knot, n: int) -> LaurentPoly:
-    """``colored_jones`` by the earlier closure: the cable is built with
-    the unfiltered kernels, dropping only the matchings that P_c on the
-    first bundle kills, then P_c tensor 1 is stacked below it and the
-    Markov closure divided by P_c's denominator."""
+    """``colored_jones`` by the earlier closure: every tangle is built
+    with ``tangle_element`` and multiplied in with the unfiltered
+    ``tl_multiply``, dropping only the matchings that P_c on the first
+    bundle kills, then P_c tensor 1 is stacked below it and the Markov
+    closure divided by P_c's denominator."""
     cable = n - 1
     if cable == 0:
         return LaurentPoly.one()
     element = TLElement.identity(2 * cable)
     for runs in knot.twist_runs:
-        if _is_braid_like(runs):
-            for axis, count, sense in runs:
-                element = _times_block(element, cable, over_diagonal(sense), count)
-        else:
-            element = tl_multiply(element, tangle_element(runs, cable))
+        element = tl_multiply(element, tangle_element(runs, cable))
         element = _drop_projector_cups(element, cable, bundles=1)
     proj, denom = jw_projector(cable)
     element = tl_multiply(tensor(proj, TLElement.identity(cable)), element)

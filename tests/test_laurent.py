@@ -35,6 +35,17 @@ def test_zero_polynomial_has_no_degree():
         z.min_degree()
 
 
+def test_constant_hashes_as_its_int():
+    # equal objects must hash alike, so a constant and its int meet in a set
+    for c in (0, 1, 3, -7):
+        p = P({0: c})
+        assert p == c and c == p and hash(p) == hash(c)
+        assert p in {c} and c in {p}
+    assert {P({0: 3}): "three"}[3] == "three"
+    assert LaurentPoly.zero() in {0}
+    assert P({1: 3}) != 3 and P({0: 3, 1: 1}) not in {3}
+
+
 def test_add_sub_cancelation():
     a = P({3: 2, 0: 1})
     b = P({3: 2, -1: 5})

@@ -16,10 +16,10 @@ from slopelab.tl import (
     KAPPA,
     LOOP,
     TLElement,
+    _block_word,
     _killed,
     _matching,
     _stack,
-    _times_block,
     _times_word,
     colored_jones,
     crossing_block,
@@ -468,7 +468,7 @@ def test_kernels_cancel_to_zero_free_elements(cable):
                     for i in range(cable - t, 2 * cable - t):
                         stepwise = _times_generator(stepwise, i, over_diag)
                         assert _zero_free(stepwise)
-            block = _times_block(y, cable, over_diag, count)
+            block = _times_word(y, count * _block_word(cable), over_diag)
             assert block == stepwise == x and _zero_free(block)
             if count == 1:
                 back = tl_multiply(y, crossing_block(cable, over_diag))
@@ -544,8 +544,7 @@ def test_kernels_drop_killed_terms(cable):
             assert plain == _glued_product(x, y)
             assert tl_multiply(x, y, 0) == plain
             assert tl_multiply(x, y, cable) == _drop_projector_cups(plain, cable)
-        words = [_random_word(rng, width, 6)]
-        words.append([i for t in range(cable) for i in range(cable - t, 2 * cable - t)])
+        words = [_random_word(rng, width, 6), _block_word(cable), 2 * _block_word(cable)]
         for word in words:
             for over_diag in (0, 1):
                 plain = x
@@ -555,8 +554,6 @@ def test_kernels_drop_killed_terms(cable):
                 assert _times_word(x, word, over_diag, 0) == plain
                 dropped = _drop_projector_cups(plain, cable)
                 assert _times_word(x, word, over_diag, cable) == dropped
-        dropped = _drop_projector_cups(_times_block(x, cable, 1, 2), cable)
-        assert _times_block(x, cable, 1, 2, drop=True) == dropped
 
 
 @pytest.mark.parametrize("cable", [1, 2, 3])
@@ -783,6 +780,71 @@ def test_colored_jones_matches_one_projector_closure_sweep():
     for knot in _strict_sweep(17, 64):
         for n in (2, 3):
             assert colored_jones(knot, n) == colored_jones_one_projector(knot, n), knot.spec()
+
+
+def _recipe_sweep(seed, count):
+    """count distinct seeded knots of any kind: half pretzels with
+    twists in -5..5 (so entries +-1 occur), half Montesinos knots with
+    two to four fractions p/q, q in 2..11."""
+    rng = random.Random(seed)
+    knots = {}
+    while len(knots) < count // 2:
+        knot = PretzelKnot(tuple(rng.choice((-1, 1)) * rng.randrange(1, 6) for _ in range(3)))
+        if knot.is_knot():
+            knots[knot.spec()] = knot
+    while len(knots) < count:
+        qs = [rng.randrange(2, 12) for _ in range(rng.choice((2, 3, 4)))]
+        fractions = [Fraction(rng.choice((-1, 1)) * rng.randrange(1, q), q) for q in qs]
+        try:
+            knot = MontesinosKnot.from_fractions(fractions)
+        except SlopelabError:
+            continue
+        knots[knot.spec()] = knot
+    return list(knots.values())
+
+
+def test_twist_runs_shapes():
+    # _projected_bracket stacks a tangle in place only when it is a single
+    # crossing; that choice relies on these two recipe shapes.
+    for knot in _recipe_sweep(23, 80):
+        for runs in knot.twist_runs:
+            assert all(count >= 1 for _, count, _ in runs), knot.spec()
+            axes = "".join(axis for axis, _, _ in runs)
+            if isinstance(knot, PretzelKnot):
+                assert axes == "v", knot.spec()
+            else:
+                assert len(axes) >= 2 and axes == "hv" * (len(axes) // 2), knot.spec()
+
+
+def test_projected_bracket_stacks_single_crossings_in_place(monkeypatch):
+    import slopelab.tl as tl
+
+    built, in_place = [], []
+    times_word, assemble = tl._times_word, tl.tangle_element
+
+    def spy_times_word(x, word, over_diag, cable=0):
+        if cable:
+            in_place.append(over_diag)
+        return times_word(x, word, over_diag, cable)
+
+    def spy_tangle_element(runs, cable):
+        built.append(runs)
+        return assemble(runs, cable)
+
+    monkeypatch.setattr(tl, "_times_word", spy_times_word)
+    monkeypatch.setattr(tl, "tangle_element", spy_tangle_element)
+    singles = 0
+    for knot in _recipe_sweep(29, 80):
+        runs = knot.twist_runs
+        # a Montesinos tangle has no pretzel entry: 0 stands in for it
+        entries = knot.q if isinstance(knot, PretzelKnot) else [0] * len(runs)
+        built.clear()
+        in_place.clear()
+        tl._projected_bracket(knot, 1)
+        assert in_place == [over_diagonal(q) for q in entries if abs(q) == 1], knot.spec()
+        assert built == [r for r, q in zip(runs, entries) if abs(q) != 1], knot.spec()
+        singles += len(in_place)
+    assert singles
 
 
 def test_worked_example_spans():

@@ -327,6 +327,31 @@ def test_cli_qip_json_stdout(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "p:-3,3,3"],
+        ["scan", "--q0-min", "-3", "--qi-max", "5"],
+        ["scan", "--exceptional"],
+        ["qip", "--a", "1,2", "--b", "0,0", "--t", "3"],
+        ["jones", "p:1,1,1", "--n", "2"],
+    ],
+    ids=["verify", "scan", "scan-exceptional", "qip", "jones"],
+)
+def test_cli_json_goes_to_stdout_or_to_the_file(argv, tmp_path, capsys):
+    assert cli.main(argv) == 0
+    text = capsys.readouterr().out
+    # --json -: stdout is the JSON and nothing else
+    assert cli.main([*argv, "--json", "-"]) == 0
+    payload = capsys.readouterr().out
+    assert payload == json.dumps(json.loads(payload), indent=2, sort_keys=True) + "\n"
+    # --json FILE: the file holds the same JSON, stdout the report text
+    target = tmp_path / "out.json"
+    assert cli.main([*argv, "--json", str(target)]) == 0
+    assert capsys.readouterr().out == text != payload
+    assert target.read_text() == payload
+
+
 def test_cli_jones(capsys):
     assert cli.main(["jones", "p:1,1,1", "--n", "2"]) == 0
     out = capsys.readouterr().out
