@@ -30,11 +30,11 @@ Stacking one generator on an element rewrites each matching in place (a
 swap of partners, or one loop), so a crossing costs time linear in the
 number of terms: the identity smoothing keeps each coefficient, only the
 e_i targets accumulate, and a run of blocks carries one v^k shift.  A
-horizontal run stacks its blocks' word on top; a vertical run does the
-same on the tangle turned a quarter turn, then turns it back.  A tangle
-that is a single crossing (a pretzel entry +-1) is stacked onto the
-running element in place; any other tangle is assembled on its own
-and multiplied in.
+horizontal run stacks its blocks' word on top; a vertical run is the
+same word on the points a quarter turn round, where a block's over
+diagonal flips.  A tangle that is a single crossing (a pretzel entry
++-1) is stacked onto the running element in place; any other tangle
+is assembled on its own and multiplied in.
 
 The cable of a knot carries a Jones-Wenzl projector on each of its two
 bottom bundles: the cable is one band, so a projector slides along it,
@@ -255,19 +255,6 @@ def tensor(x: TLElement, y: TLElement) -> TLElement:
     return TLElement(x.a + y.a, x.b + y.b, out)
 
 
-def rotate(x: TLElement, k: int) -> TLElement:
-    """Rotate the disk by k boundary points (labels move up by k)."""
-    size = x.a + x.b
-    return TLElement(
-        x.a,
-        x.b,
-        {
-            tuple((m[(i - k) % size] + k) % size for i in range(size)): c
-            for m, c in x.terms.items()
-        },
-    )
-
-
 def markov_closure(x: TLElement) -> LaurentPoly:
     """Close an (n, n) element around the side; returns a scalar."""
     if x.a != x.b:
@@ -289,21 +276,29 @@ def markov_closure(x: TLElement) -> LaurentPoly:
 # crossing blocks and tangle assembly
 
 
-def _times_word(x: TLElement, word, over_diag: int, cable: int = 0) -> TLElement:
+def _times_word(
+    x: TLElement, word, over_diag: int, cable: int = 0, turn: int = 0
+) -> TLElement:
     """Stack the braid generators v^k 1 + v^-k e_i for i in word on top
     of x, where k = KAPPA for over_diag 0 and -KAPPA otherwise, each as
     1 + v^-2k e_i; the factors v^k are one shift, at the wrap.  An e_i
-    target is copied on its first write, so no input dict changes.  With
-    cable > 0, x is a cable's running element: its terms that _killed
-    rejects are dropped, and so is an e_i target that joins two points
-    of one bottom bundle, before any coefficient work."""
+    target is copied on its first write, so no input dict changes.
+
+    With turn > 0, generator i acts at labels u = a + b - i - turn and
+    u - 1.  On a (2 turn, 2 turn) tangle these are its east points, the
+    top of the tangle turned a quarter turn, and they stay in
+    turn..3 turn - 1, so no label is taken modulo.  With cable > 0, x is
+    a cable's running element: its terms that _killed rejects are
+    dropped, and so is an e_i target that joins two points of one
+    bottom bundle, before any coefficient work."""
     k = KAPPA if over_diag == 0 else -KAPPA
     loop, down = LOOP.shift(-2 * k).coeffs, {-2 * k: 1}
     bottom = 2 * cable  # points below this lie in the bottom bundles
     terms = {m: c.coeffs for m, c in x.terms.items() if not (cable and _killed(m, cable))}
     for i in word:
-        # labels of the top points on strands i-1 and i (counted from the left)
-        u = x.a + x.b - i
+        # labels of the top points on strands i-1 and i (counted from the
+        # left), on the frame turned by turn labels
+        u = x.a + x.b - i - turn
         w = u - 1
         out = dict(terms)
         owned = set()
@@ -341,9 +336,9 @@ def tangle_element(runs, cable: int) -> TLElement:
     """Evaluate one tangle recipe at the given cable width.
 
     Blocks of a horizontal run are stacked on top.  A vertical run
-    attaches them below the east-west axis instead; turned a quarter
-    turn, that is stacking on top again, and the block turned a quarter
-    turn is the block of the opposite over diagonal.
+    attaches them below the east-west axis instead: that is the same
+    word on the points a quarter turn round, where a block's over
+    diagonal flips.
     """
     element = None
     for axis, count, sense in runs:
@@ -356,8 +351,7 @@ def tangle_element(runs, cable: int) -> TLElement:
         if axis == "h":
             element = _times_word(element, word, over_diag)
         else:
-            turned = _times_word(rotate(element, cable), word, 1 - over_diag)
-            element = rotate(turned, -cable)
+            element = _times_word(element, word, 1 - over_diag, turn=cable)
     if element is None:
         raise ValueError("tangle has no crossings")
     return element

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 import slopelab
-from slopelab.degrees import montesinos_js_jx
 from slopelab.errors import ColorTooLarge, InadmissibleTriple, SlopelabError
 from slopelab.knots import MontesinosKnot, PretzelKnot, parse_knot_spec
 from slopelab.laurent import LaurentPoly
@@ -19,6 +18,7 @@ from slopelab.tl import (
     _block_word,
     _killed,
     _matching,
+    _projector_trace,
     _stack,
     _times_word,
     colored_jones,
@@ -26,7 +26,6 @@ from slopelab.tl import (
     delta_n,
     jw_projector,
     markov_closure,
-    rotate,
     tangle_element,
     tensor,
     theta,
@@ -40,6 +39,8 @@ from support import (
     colored_jones_unknot,
     mirror,
     parse_poly,
+    rotate,
+    strict_sweep,
 )
 
 
@@ -496,6 +497,21 @@ def test_quarter_turn_swaps_over_diagonal(cable):
         assert rotate(rotate(block, cable), -cable) == block
 
 
+@pytest.mark.parametrize("cable", [1, 2, 3])
+def test_turned_word_is_the_word_on_the_turned_element(cable):
+    # a vertical run's word acts on the points a quarter turn round,
+    # which is the word on top of the element turned, then turned back
+    rng = random.Random(60 + cable)
+    width = 2 * cable
+    for _ in range(3):
+        x = _random_element(rng, width)
+        words = [_random_word(rng, width, 6), _block_word(cable), 2 * _block_word(cable)]
+        for word in words:
+            for over_diag in (0, 1):
+                turned = rotate(_times_word(rotate(x, cable), word, over_diag), -cable)
+                assert _times_word(x, word, over_diag, turn=cable) == turned
+
+
 @pytest.mark.parametrize(
     "runs",
     [
@@ -525,6 +541,29 @@ def test_dropped_matchings_are_killed_by_projector(cable):
         single = TLElement(width, width, {m: LaurentPoly.one()})
         killed = tl_multiply(bottom, single) == TLElement(width, width, {})
         assert killed == (m not in kept.terms)
+
+
+@pytest.mark.parametrize("cable", [1, 2, 3])
+def test_projector_trace_closed_form(cable):
+    # Under P_c on each bottom bundle a kept matching closes to 0 when it
+    # joins two neighbours of one top bundle (a cup on a projector round
+    # the closure).  Otherwise let k pairs join bottom bundle 1 to bottom
+    # bundle 2: the partial trace of each projector leaves P_k, and one
+    # loop of P_k closes it, so the normalized trace is delta_c^2 / delta_k.
+    width = 2 * cable
+    _, denom = jw_projector(cable)
+    kept = [m for m in _planar_matchings(2 * width) if not _killed(m, cable)]
+    assert len(kept) == {1: 2, 2: 6, 3: 20}[cable]
+    for m in kept:
+        trace = _projector_trace(m, cable)
+        top_cup = any(
+            m[p] == p + 1 for p in range(width, 2 * width - 1) if p != width + cable - 1
+        )
+        if top_cup:
+            assert trace == LaurentPoly.zero(), m
+        else:
+            k = sum(1 for i in range(cable) if cable <= m[i] < width)
+            assert trace * delta_n(k) == denom * denom * delta_n(cable) ** 2, m
 
 
 def _random_word(rng, width, length):
@@ -750,34 +789,8 @@ def test_colored_jones_matches_one_projector_closure(spec):
         assert colored_jones(knot, n) == colored_jones_one_projector(knot, n)
 
 
-def _strict_sweep(seed, count):
-    """count distinct strict knots: half pretzels with odd twists 3..7
-    (3..5 with five tangles), half Montesinos knots whose fractions are
-    -1/(q0 +- 1/b) and 1/(q + 1/a), q0 odd in 3..7, q even in 2..6 and
-    a, b in 1..3, kept when montesinos_js_jx accepts them."""
-    rng = random.Random(seed)
-    knots = {}
-    while len(knots) < count // 2:
-        top = rng.choice((7, 7, 5))
-        q = [rng.randrange(3, top + 1, 2) for _ in range(3 if top == 7 else 5)]
-        knot = PretzelKnot((-q[0], *q[1:]))
-        knots[knot.spec()] = knot
-    while len(knots) < count:
-        q0 = rng.randrange(3, 8, 2)
-        fractions = [-1 / (q0 + Fraction(rng.choice((1, -1)), rng.randrange(1, 4)))]
-        for _ in range(rng.choice((2, 2, 4))):
-            fractions.append(1 / (rng.randrange(2, 7, 2) + Fraction(1, rng.randrange(1, 4))))
-        try:
-            knot = MontesinosKnot.from_fractions(fractions)
-            montesinos_js_jx(knot)
-        except SlopelabError:
-            continue
-        knots[knot.spec()] = knot
-    return list(knots.values())
-
-
 def test_colored_jones_matches_one_projector_closure_sweep():
-    for knot in _strict_sweep(17, 64):
+    for knot in strict_sweep(17, 64):
         for n in (2, 3):
             assert colored_jones(knot, n) == colored_jones_one_projector(knot, n), knot.spec()
 
@@ -822,10 +835,10 @@ def test_projected_bracket_stacks_single_crossings_in_place(monkeypatch):
     built, in_place = [], []
     times_word, assemble = tl._times_word, tl.tangle_element
 
-    def spy_times_word(x, word, over_diag, cable=0):
+    def spy_times_word(x, word, over_diag, cable=0, turn=0):
         if cable:
             in_place.append(over_diag)
-        return times_word(x, word, over_diag, cable)
+        return times_word(x, word, over_diag, cable, turn)
 
     def spy_tangle_element(runs, cable):
         built.append(runs)
