@@ -276,29 +276,21 @@ def markov_closure(x: TLElement) -> LaurentPoly:
 # crossing blocks and tangle assembly
 
 
-def _times_word(
-    x: TLElement, word, over_diag: int, cable: int = 0, turn: int = 0
-) -> TLElement:
+def _times_word(x: TLElement, word, over_diag: int, cable: int = 0) -> TLElement:
     """Stack the braid generators v^k 1 + v^-k e_i for i in word on top
     of x, where k = KAPPA for over_diag 0 and -KAPPA otherwise, each as
     1 + v^-2k e_i; the factors v^k are one shift, at the wrap.  An e_i
-    target is copied on its first write, so no input dict changes.
-
-    With turn > 0, generator i acts at labels u = a + b - i - turn and
-    u - 1.  On a (2 turn, 2 turn) tangle these are its east points, the
-    top of the tangle turned a quarter turn, and they stay in
-    turn..3 turn - 1, so no label is taken modulo.  With cable > 0, x is
-    a cable's running element: its terms that _killed rejects are
-    dropped, and so is an e_i target that joins two points of one
-    bottom bundle, before any coefficient work."""
+    target is copied on its first write, so no input dict changes.  With
+    cable > 0, x is a cable's running element: its terms that _killed
+    rejects are dropped, and so is an e_i target that joins two points
+    of one bottom bundle, before any coefficient work."""
     k = KAPPA if over_diag == 0 else -KAPPA
     loop, down = LOOP.shift(-2 * k).coeffs, {-2 * k: 1}
     bottom = 2 * cable  # points below this lie in the bottom bundles
     terms = {m: c.coeffs for m, c in x.terms.items() if not (cable and _killed(m, cable))}
     for i in word:
-        # labels of the top points on strands i-1 and i (counted from the
-        # left), on the frame turned by turn labels
-        u = x.a + x.b - i - turn
+        # labels of the top points on strands i-1 and i (counted from the left)
+        u = x.a + x.b - i
         w = u - 1
         out = dict(terms)
         owned = set()
@@ -348,10 +340,11 @@ def tangle_element(runs, cable: int) -> TLElement:
         if not count:
             continue
         word = count * _block_word(cable)
-        if axis == "h":
-            element = _times_word(element, word, over_diag)
-        else:
-            element = _times_word(element, word, 1 - over_diag, turn=cable)
+        if axis == "v":
+            # a word index counts top labels round the disk, so generator
+            # i + cable is generator i a quarter turn round
+            word, over_diag = [i + cable for i in word], 1 - over_diag
+        element = _times_word(element, word, over_diag)
     if element is None:
         raise ValueError("tangle has no crossings")
     return element

@@ -4,26 +4,21 @@
 ``planar_euler_check`` and ``pd_code`` read a standard diagram back in
 two independent ways; ``colored_jones_unknot`` evaluates the unknot on a
 crossingless round diagram, a reference value for the skein oracle.
-``strict_sweep`` and ``strict_montesinos`` draw seeded strict knots.
 ``colored_jones_one_projector`` is the earlier closure of the cable,
 with one projector below it, a reference for ``colored_jones``;
 ``_drop_projector_cups`` is the drop rule written out point by point,
 ``_times_generator`` stacks one braid generator, and ``rotate`` turns
-an element's disk, the reference for a vertical run's turned word.
+an element's disk, the reference for a vertical run's shifted word.
 ``mirror`` substitutes v -> v^-1 and ``report_json`` renders a report's
 JSON text.  The three ``_*_entries`` recipes and ``ladder_search`` are
 the earlier hand-derived edge-path expansions and ladder depth search,
 kept as a reference for ``negative_cfe`` and the closed-form depth.
 """
 import json
-import random
 import re
-from fractions import Fraction
 
-from slopelab.degrees import montesinos_js_jx
 from slopelab.diagrams import Diagram, _traverse, crossing_signs
-from slopelab.errors import ColorTooLarge, SlopelabError
-from slopelab.knots import MontesinosKnot, PretzelKnot
+from slopelab.errors import ColorTooLarge
 from slopelab.laurent import LaurentPoly
 from slopelab.tl import (
     DEFAULT_COLOR_CAP,
@@ -78,38 +73,6 @@ def pd_code(d: Diagram):
             [label[(ci, (under_entry + k) % 4)] for k in range(4)]
         )
     return {"crossings": tuples, "signs": crossing_signs(d)}
-
-
-def strict_sweep(seed, count):
-    """count distinct strict knots: half pretzels with odd twists 3..7
-    (3..5 with five tangles), half drawn by ``strict_montesinos``."""
-    rng = random.Random(seed)
-    knots = {}
-    while len(knots) < count // 2:
-        top = rng.choice((7, 7, 5))
-        q = [rng.randrange(3, top + 1, 2) for _ in range(3 if top == 7 else 5)]
-        knot = PretzelKnot((-q[0], *q[1:]))
-        knots[knot.spec()] = knot
-    return strict_montesinos(rng, knots, count)
-
-
-def strict_montesinos(rng, knots, count):
-    """Add distinct strict Montesinos knots to knots (spec -> knot) until
-    it holds count, and return its knots: fractions -1/(q0 +- 1/b) and
-    1/(q + 1/a), q0 odd in 3..7, q even in 2..6 and a, b in 1..3, kept
-    when montesinos_js_jx accepts them."""
-    while len(knots) < count:
-        q0 = rng.randrange(3, 8, 2)
-        fractions = [-1 / (q0 + Fraction(rng.choice((1, -1)), rng.randrange(1, 4)))]
-        for _ in range(rng.choice((2, 2, 4))):
-            fractions.append(1 / (rng.randrange(2, 7, 2) + Fraction(1, rng.randrange(1, 4))))
-        try:
-            knot = MontesinosKnot.from_fractions(fractions)
-            montesinos_js_jx(knot)
-        except SlopelabError:
-            continue
-        knots[knot.spec()] = knot
-    return list(knots.values())
 
 
 def _cabled_vertical_strands(cable: int) -> TLElement:

@@ -17,6 +17,7 @@ from slopelab.degrees import (
 from slopelab.errors import HypothesisViolation, NotAKnot
 from slopelab.knots import MontesinosKnot, PretzelKnot, associated_pretzel
 from slopelab.qip import maximize_degree
+from slopelab.verify import predicted_min_degree
 
 WORKED = MontesinosKnot.from_fractions(
     [
@@ -261,7 +262,8 @@ def test_montesinos_corrections_match_the_reduction_total():
     the reduction's n shift minus 2A, and a strict pretzel diagram has
     writhe -sum(q).  Each tangle is built around a chosen strict twist
     entry: 1/(q_i - 1 + x) for x in (0, 1], and -1/(|q0| + x) for x in
-    [0, 1).
+    [0, 1).  ``predicted_min_degree`` moves by the same shifts from the
+    associated pretzel, on these knots and the worked one.
     """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -294,8 +296,20 @@ def test_montesinos_corrections_match_the_reduction_total():
         assert corr.euler_shift == lin - 2 * shift
         assert corr.writhe_pretzel == -sum(q)
         assert corr.writhe_knot == knot.writhe
+        _check_predicted_shift(knot)
 
+    _check_predicted_shift(WORKED)
     check()
+
+
+def _check_predicted_shift(knot):
+    # predicted_min_degree reads the twist-reduction shift and js/jx read
+    # the corrections: two statements of one Montesinos shift
+    pretzel = PretzelKnot(knot.associated.q)
+    s, e = knot.corrections.slope_shift, knot.corrections.euler_shift
+    for c in range(2, 13):
+        shift = predicted_min_degree(knot, c) - predicted_min_degree(pretzel, c)
+        assert shift == -s * (c * c - 1) - e * (c - 1), (knot.spec(), c)
 
 
 def test_montesinos_js_jx_worked_example():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import slopelab
+from slopelab.degrees import montesinos_js_jx
 from slopelab.errors import ColorTooLarge, InadmissibleTriple, SlopelabError
 from slopelab.knots import MontesinosKnot, PretzelKnot, parse_knot_spec
 from slopelab.laurent import LaurentPoly
@@ -40,7 +41,6 @@ from support import (
     mirror,
     parse_poly,
     rotate,
-    strict_sweep,
 )
 
 
@@ -499,8 +499,9 @@ def test_quarter_turn_swaps_over_diagonal(cable):
 
 @pytest.mark.parametrize("cable", [1, 2, 3])
 def test_turned_word_is_the_word_on_the_turned_element(cable):
-    # a vertical run's word acts on the points a quarter turn round,
-    # which is the word on top of the element turned, then turned back
+    # a word index counts top labels round the disk: the word shifted by
+    # cable acts on the points a quarter turn round, which is the word on
+    # top of the element turned, then turned back
     rng = random.Random(60 + cable)
     width = 2 * cable
     for _ in range(3):
@@ -509,7 +510,8 @@ def test_turned_word_is_the_word_on_the_turned_element(cable):
         for word in words:
             for over_diag in (0, 1):
                 turned = rotate(_times_word(rotate(x, cable), word, over_diag), -cable)
-                assert _times_word(x, word, over_diag, turn=cable) == turned
+                shifted = [i + cable for i in word]
+                assert _times_word(x, shifted, over_diag) == turned
 
 
 @pytest.mark.parametrize(
@@ -789,8 +791,34 @@ def test_colored_jones_matches_one_projector_closure(spec):
         assert colored_jones(knot, n) == colored_jones_one_projector(knot, n)
 
 
+def _strict_sweep(seed, count):
+    """count distinct strict knots: half pretzels with odd twists 3..7
+    (3..5 with five tangles), half Montesinos knots whose fractions are
+    -1/(q0 +- 1/b) and 1/(q + 1/a), q0 odd in 3..7, q even in 2..6 and
+    a, b in 1..3, kept when montesinos_js_jx accepts them."""
+    rng = random.Random(seed)
+    knots = {}
+    while len(knots) < count // 2:
+        top = rng.choice((7, 7, 5))
+        q = [rng.randrange(3, top + 1, 2) for _ in range(3 if top == 7 else 5)]
+        knot = PretzelKnot((-q[0], *q[1:]))
+        knots[knot.spec()] = knot
+    while len(knots) < count:
+        q0 = rng.randrange(3, 8, 2)
+        fractions = [-1 / (q0 + Fraction(rng.choice((1, -1)), rng.randrange(1, 4)))]
+        for _ in range(rng.choice((2, 2, 4))):
+            fractions.append(1 / (rng.randrange(2, 7, 2) + Fraction(1, rng.randrange(1, 4))))
+        try:
+            knot = MontesinosKnot.from_fractions(fractions)
+            montesinos_js_jx(knot)
+        except SlopelabError:
+            continue
+        knots[knot.spec()] = knot
+    return list(knots.values())
+
+
 def test_colored_jones_matches_one_projector_closure_sweep():
-    for knot in strict_sweep(17, 64):
+    for knot in _strict_sweep(17, 64):
         for n in (2, 3):
             assert colored_jones(knot, n) == colored_jones_one_projector(knot, n), knot.spec()
 
@@ -835,10 +863,10 @@ def test_projected_bracket_stacks_single_crossings_in_place(monkeypatch):
     built, in_place = [], []
     times_word, assemble = tl._times_word, tl.tangle_element
 
-    def spy_times_word(x, word, over_diag, cable=0, turn=0):
+    def spy_times_word(x, word, over_diag, cable=0):
         if cable:
             in_place.append(over_diag)
-        return times_word(x, word, over_diag, cable, turn)
+        return times_word(x, word, over_diag, cable)
 
     def spy_tangle_element(runs, cable):
         built.append(runs)

@@ -2,7 +2,6 @@ import dataclasses
 import importlib
 import json
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +11,7 @@ import pytest
 import slopelab
 from slopelab import cli
 from slopelab.errors import ColorTooLarge, HypothesisViolation, NotAKnot
-from slopelab.knots import PretzelKnot, parse_knot_spec
+from slopelab.knots import parse_knot_spec
 from slopelab.verify import (
     SCHEMA,
     iter_strict_pretzels,
@@ -20,7 +19,7 @@ from slopelab.verify import (
     scan,
     verify,
 )
-from support import report_json, strict_montesinos
+from support import report_json
 
 WORKED_SPEC = "m:-46/327,35/151,5/31,16/35,1/5"
 
@@ -97,18 +96,6 @@ def test_predicted_min_degree_anchors():
     ]
     for spec, color, expected in anchors:
         assert predicted_min_degree(parse_knot_spec(spec), color) == expected
-
-
-def test_predicted_shift_is_the_corrections_shift():
-    # predicted_min_degree reads the twist-reduction shift and js/jx read
-    # the corrections: two statements of one Montesinos shift
-    knots = [parse_knot_spec(WORKED_SPEC), *strict_montesinos(random.Random(5), {}, 120)]
-    for knot in knots:
-        pretzel = PretzelKnot(knot.associated.q)
-        s, e = knot.corrections.slope_shift, knot.corrections.euler_shift
-        for c in range(2, 13):
-            shift = predicted_min_degree(knot, c) - predicted_min_degree(pretzel, c)
-            assert shift == -s * (c * c - 1) - e * (c - 1), (knot.spec(), c)
 
 
 def test_oracle_color_policy():
