@@ -14,7 +14,7 @@ normalized Euler characteristic of a spanning surface, which is what
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -33,9 +33,11 @@ REFERENCE = "Reference"
 class MontesinosCorrections:
     """Bookkeeping that converts pretzel js/jx into Montesinos js/jx.
 
-    All fields are read off the even-length continued-fraction
+    The ten report fields are read off the even-length continued-fraction
     expansions of the tangle fractions and the writhes of the two
-    standard diagrams.
+    standard diagrams.  ``slope_shift`` and ``euler_shift`` are the js
+    and jx differences between the knot and its associated pretzel, set
+    by ``montesinos_corrections`` from ``tangle_reduction_total``.
     """
 
     q0_prime: int
@@ -48,32 +50,12 @@ class MontesinosCorrections:
     sum_bracket_odd: int
     writhe_pretzel: int
     writhe_knot: int
-
-    @property
-    def slope_shift(self) -> int:
-        """js difference between the knot and its associated pretzel."""
-        return (
-            -self.q0_prime
-            - self.r0_bracket
-            - self.writhe_pretzel
-            + self.writhe_knot
-            + self.sum_shift_minus_one
-            + self.sum_bracket
-        )
-
-    @property
-    def euler_shift(self) -> int:
-        """jx difference between the knot and its associated pretzel."""
-        negative_tail = 0 if self.q0_prime == 0 else -2
-        return (
-            negative_tail
-            + 2 * self.r0_bracket_odd
-            - 2 * self.sum_shift_minus_one
-            - 2 * self.sum_bracket_even
-        )
+    slope_shift: int
+    euler_shift: int
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The ten report fields, without the two derived shifts."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[:-2]}
 
 
 @dataclass(frozen=True)
@@ -219,6 +201,8 @@ def montesinos_corrections(knot) -> MontesinosCorrections:
             "into a link, which has no writhe"
         )
     (e0, o0, t0), (sum_e, sum_o, sum_t) = _bracket_totals(data)
+    quad, lin = tangle_reduction_total(data)
+    shift = data.inherited + quad
     return MontesinosCorrections(
         q0_prime=data.qprime[0],
         r0_bracket=t0,
@@ -230,6 +214,8 @@ def montesinos_corrections(knot) -> MontesinosCorrections:
         sum_bracket_odd=sum_o,
         writhe_pretzel=pretzel.writhe,
         writhe_knot=knot.writhe,
+        slope_shift=knot.writhe - pretzel.writhe + shift,
+        euler_shift=lin - 2 * shift,
     )
 
 

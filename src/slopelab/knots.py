@@ -161,23 +161,23 @@ def normalize_reduced(fractions) -> tuple[Fraction, ...]:
     such representative exists: each r ends at r - floor(r) or one less,
     so one exists exactly when no r is an integer and
     j = -sum(floor(r)) lies in 0..len.
+
+    Past that check the loop needs no step budget: until the list is
+    reduced, max - min > 1, so each step lowers sum(r^2), a multiple of
+    1/D^2 for the common denominator D, by 2(max - min - 1) > 0.
     """
     fr = [Fraction(r) for r in fractions]
     if any(r == 0 for r in fr):
         raise ValueError("tangle fractions must be nonzero")
     if not fr:
         raise ValueError("no tangle fractions given")
-    spec = montesinos_spec(fr)
     if any(r.denominator == 1 for r in fr) or not 0 <= -sum(map(math.floor, fr)) <= len(fr):
-        raise ValueError(f"{spec} has no reduced representative")
-    budget = 4 * (sum(int(abs(r)) for r in fr) + len(fr) + 2)
-    for _ in range(budget):
-        if all(0 < abs(r) < 1 for r in fr):
-            return tuple(fr)
+        raise ValueError(f"{montesinos_spec(fr)} has no reduced representative")
+    while not all(0 < abs(r) < 1 for r in fr):
         hi, lo = fr.index(max(fr)), fr.index(min(fr))
         fr[hi] -= 1
         fr[lo] += 1
-    raise ValueError(f"{spec} has no reduced representative")
+    return tuple(fr)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from itertools import accumulate
 from math import prod
 
 
-def _integral(value, what: str) -> int:
+def integral(value, what: str) -> int:
     """``value`` as an int; reject anything that is not integer-valued."""
     try:
         if int(value) == value:
@@ -38,8 +38,8 @@ class SeparableQuadratic:
     b: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(_integral(v, "a") for v in self.a))
-        object.__setattr__(self, "b", tuple(_integral(v, "b") for v in self.b))
+        object.__setattr__(self, "a", tuple(integral(v, "a") for v in self.a))
+        object.__setattr__(self, "b", tuple(integral(v, "b") for v in self.b))
         if len(self.a) != len(self.b):
             raise ValueError("coefficient vectors must have equal length")
         if not self.a:
@@ -69,7 +69,7 @@ class LatticeOptimum:
 
 
 def _check_feasible(f: SeparableQuadratic, x, t):
-    x = tuple(_integral(v, "coordinate") for v in x)
+    x = tuple(integral(v, "coordinate") for v in x)
     if len(x) != f.m:
         raise ValueError("point has wrong dimension")
     if any(v < 0 for v in x) or sum(x) != t:
@@ -121,7 +121,7 @@ def lattice_min(f: SeparableQuadratic, t: int) -> LatticeOptimum:
     to the highest-index coordinates whose next marginal equals lam:
     that choice is the lexicographically smallest minimizer.
     """
-    t = _integral(t, "total")
+    t = integral(t, "total")
     if t < 0:
         raise ValueError("total must be non-negative")
     if t == 0:
@@ -153,8 +153,8 @@ def maximize_degree(q, n: int) -> int:
     marginals, and ``lattice_min`` at t = n takes the n smallest, so the
     prefix sums of its sorted marginals give that minimum at every t.
     """
-    q = tuple(_integral(v, "twist entry") for v in q)
-    n = _integral(n, "cable size")
+    q = tuple(integral(v, "twist entry") for v in q)
+    n = integral(n, "cable size")
     if n < 0:
         raise ValueError("cable size must be non-negative")
     if q[0] >= 0:

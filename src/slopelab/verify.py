@@ -27,7 +27,7 @@ from .degrees import (
 from .diagrams import build_standard_diagram  # noqa: F401
 from .errors import ColorTooLarge
 from .knots import PretzelKnot, parse_knot_spec, require_knot
-from .qip import maximize_degree
+from .qip import integral, maximize_degree
 from .surfaces import (
     CandidateSurface,
     boundary_slope,
@@ -170,14 +170,16 @@ class VerificationReport:
 def _requested_colors(oracle_colors) -> Optional[tuple[int, ...]]:
     """The explicitly requested oracle colors, or None for the default.
 
-    Raises ColorTooLarge before any work when a color is over the cap.
+    Raises ValueError for a color that is not integer-valued, and
+    ColorTooLarge before any work when a color is over the cap.
     """
     if oracle_colors is None:
         return None
     if isinstance(oracle_colors, int):
         colors = tuple(range(2, oracle_colors + 1))
     else:
-        colors = tuple(sorted({int(c) for c in oracle_colors if int(c) >= 2}))
+        ints = {integral(c, "oracle color") for c in oracle_colors}
+        colors = tuple(sorted(c for c in ints if c >= 2))
     if colors and colors[-1] > DEFAULT_COLOR_CAP:
         raise ColorTooLarge(f"color {colors[-1]} exceeds cap {DEFAULT_COLOR_CAP}")
     return colors
@@ -187,9 +189,10 @@ def verify(knot_spec, oracle_colors=None, force: bool = False) -> VerificationRe
     """Run the full three-way consistency check on one knot.
 
     ``oracle_colors`` may be None (diagram-size-dependent default), an
-    integer top color, or an iterable of colors; colors below 2 are
-    dropped, and a color over the cap raises ColorTooLarge before any
-    work starts.  ``force`` evaluates the degree formulas outside their
+    integer top color, or an iterable of integer-valued colors; colors
+    below 2 are dropped, and a color that is not integer-valued raises
+    ValueError and one over the cap ColorTooLarge, before any work
+    starts.  ``force`` evaluates the degree formulas outside their
     proven hypotheses; the report then records any disagreement
     instead of refusing to start.
     """
@@ -298,12 +301,11 @@ def scan(
     oracle_colors=None,
     force: bool = False,
 ) -> list[VerificationReport]:
-    """Verify every strict twist vector in the box that closes up into
-    a knot, and return the reports."""
-    reports = []
-    for q in iter_strict_pretzels(q0_min, qi_max, tangle_counts):
-        knot = PretzelKnot(q)
-        if not knot.is_knot():
-            continue
-        reports.append(verify(knot, oracle_colors=oracle_colors, force=force))
-    return reports
+    """Verify every strict twist vector in the box and return the reports.
+
+    No filter is needed: odd entries, odd in number, close up into a knot.
+    """
+    return [
+        verify(PretzelKnot(q), oracle_colors=oracle_colors, force=force)
+        for q in iter_strict_pretzels(q0_min, qi_max, tangle_counts)
+    ]

@@ -15,7 +15,12 @@ from slopelab.degrees import (
     tangle_reduction_total,
 )
 from slopelab.errors import HypothesisViolation, NotAKnot
-from slopelab.knots import MontesinosKnot, PretzelKnot, associated_pretzel
+from slopelab.knots import (
+    MontesinosKnot,
+    PretzelKnot,
+    associated_pretzel,
+    parse_knot_spec,
+)
 from slopelab.qip import maximize_degree
 from slopelab.verify import predicted_min_degree
 
@@ -254,16 +259,51 @@ def test_montesinos_corrections_vanish_for_pretzels():
     assert corr.q0_prime == 0
 
 
-def test_montesinos_corrections_match_the_reduction_total():
-    """The corrections' shifts, restated over ``tangle_reduction_total``.
+def paper_slope_shift(corr):
+    """The paper's js shift as a sum over the bracket fields."""
+    return (
+        -corr.q0_prime
+        - corr.r0_bracket
+        - corr.writhe_pretzel
+        + corr.writhe_knot
+        + corr.sum_shift_minus_one
+        + corr.sum_bracket
+    )
 
-    With A the twist-reduction n^2 shift plus the inherited-state shift,
-    the slope shift is A plus the writhe difference, the Euler shift is
-    the reduction's n shift minus 2A, and a strict pretzel diagram has
-    writhe -sum(q).  Each tangle is built around a chosen strict twist
-    entry: 1/(q_i - 1 + x) for x in (0, 1], and -1/(|q0| + x) for x in
-    [0, 1).  ``predicted_min_degree`` moves by the same shifts from the
-    associated pretzel, on these knots and the worked one.
+
+def paper_euler_shift(corr):
+    """The paper's jx shift as a sum over the bracket fields."""
+    negative_tail = 0 if corr.q0_prime == 0 else -2
+    return (
+        negative_tail
+        + 2 * corr.r0_bracket_odd
+        - 2 * corr.sum_shift_minus_one
+        - 2 * corr.sum_bracket_even
+    )
+
+
+def _check_shifts(knot, q):
+    # the shifts come from tangle_reduction_total; the paper's bracket
+    # sums are the independent reference
+    assert knot.associated.q == q
+    corr = knot.corrections
+    assert corr.slope_shift == paper_slope_shift(corr)
+    assert corr.euler_shift == paper_euler_shift(corr)
+    assert corr.writhe_knot == knot.writhe
+    _check_predicted_shift(knot)
+
+
+def test_montesinos_corrections_match_the_reduction_total():
+    """The stored shifts, read off ``tangle_reduction_total``, equal the
+    paper's bracket sums.
+
+    Each tangle is built around a chosen twist entry: 1/(q_i - 1 + x)
+    for x in (0, 1], and -1/(|q0| + x) for x in [0, 1).  Strict entries
+    give a strict associated pretzel, whose diagram has writhe -sum(q).
+    Odd entries with one made even give an associated pretzel that is
+    a knot with an even entry, where the writhe is not -sum(q).
+    ``predicted_min_degree`` moves by the same shifts from the
+    associated pretzel on all of these knots.
     """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -271,6 +311,16 @@ def test_montesinos_corrections_match_the_reduction_total():
     tail = st.integers(1, 12).flatmap(
         lambda d: st.integers(1, d).map(lambda k: Fraction(k, d))
     )
+
+    def knot_around(b0, x0, positives):
+        q = (-b0,) + tuple(qi for qi, _ in positives)
+        # the corrections need the associated pretzel's writhe
+        hypothesis.assume(PretzelKnot(q).is_knot())
+        fractions = [-1 / (b0 + 1 - x0)] + [1 / (qi - 1 + x) for qi, x in positives]
+        try:
+            return MontesinosKnot.from_fractions(fractions), q
+        except NotAKnot:
+            hypothesis.assume(False)
 
     @hypothesis.settings(deadline=None, max_examples=100)
     @hypothesis.given(
@@ -280,31 +330,43 @@ def test_montesinos_corrections_match_the_reduction_total():
             lambda m: st.lists(st.tuples(odd, tail), min_size=m, max_size=m)
         ),
     )
-    def check(b0, x0, positives):
-        q = (-b0,) + tuple(qi for qi, _ in positives)
-        fractions = [-1 / (b0 + 1 - x0)] + [1 / (qi - 1 + x) for qi, x in positives]
-        try:
-            knot = MontesinosKnot.from_fractions(fractions)
-        except NotAKnot:
-            hypothesis.assume(False)
-        data = knot.associated
-        assert data.q == q
-        quad, lin = tangle_reduction_total(data)
-        shift = quad + data.inherited
-        corr = knot.corrections
-        assert corr.slope_shift == shift + corr.writhe_knot - corr.writhe_pretzel
-        assert corr.euler_shift == lin - 2 * shift
-        assert corr.writhe_pretzel == -sum(q)
-        assert corr.writhe_knot == knot.writhe
-        _check_predicted_shift(knot)
+    def check_strict(b0, x0, positives):
+        knot, q = knot_around(b0, x0, positives)
+        _check_shifts(knot, q)
+        assert knot.corrections.writhe_pretzel == -sum(q)
 
-    _check_predicted_shift(WORKED)
-    check()
+    @hypothesis.settings(deadline=None, max_examples=100)
+    @hypothesis.given(
+        odd,
+        tail,
+        st.lists(st.tuples(odd, tail), min_size=2, max_size=4),
+        st.integers(0, 4),
+        st.integers(1, 5),
+    )
+    def check_even_entry(b0, x0, positives, j, half):
+        # one entry made even: the associated pretzel stays a knot
+        if j == 0:
+            b0 = 2 * half
+        else:
+            j = min(j, len(positives))
+            positives[j - 1] = (2 * half, positives[j - 1][1])
+        knot, q = knot_around(b0, x0, positives)
+        _check_shifts(knot, q)
+
+    # p:-3,4,5 has writhe -2, not -sum(q) = -6
+    for spec, shifts in (("m:-1/3,1/4,1/5", (0, 0)), ("m:-4/13,3/10,1/5", (26, -6))):
+        knot = parse_knot_spec(spec)
+        _check_shifts(knot, (-3, 4, 5))
+        corr = knot.corrections
+        assert (corr.writhe_pretzel, corr.slope_shift, corr.euler_shift) == (-2, *shifts)
+    _check_shifts(WORKED, (-7, 5, 7, 3, 5))
+    check_strict()
+    check_even_entry()
 
 
 def _check_predicted_shift(knot):
-    # predicted_min_degree reads the twist-reduction shift and js/jx read
-    # the corrections: two statements of one Montesinos shift
+    # predicted_min_degree and the corrections' shifts both come from
+    # tangle_reduction_total and the writhes
     pretzel = PretzelKnot(knot.associated.q)
     s, e = knot.corrections.slope_shift, knot.corrections.euler_shift
     for c in range(2, 13):

@@ -11,7 +11,7 @@ import pytest
 import slopelab
 from slopelab import cli
 from slopelab.errors import ColorTooLarge, HypothesisViolation, NotAKnot
-from slopelab.knots import parse_knot_spec
+from slopelab.knots import PretzelKnot, parse_knot_spec
 from slopelab.verify import (
     SCHEMA,
     iter_strict_pretzels,
@@ -104,6 +104,14 @@ def test_oracle_color_policy():
     assert [c.color for c in verify("p:-3,3,3", oracle_colors=[1, 2]).oracle] == [2]
 
 
+def test_oracle_colors_must_be_integer_valued():
+    for colors in ([2.5, 3.9], ["3"], [Fraction(5, 2)]):
+        with pytest.raises(ValueError, match="oracle color must be an integer"):
+            verify("p:-3,5,5", oracle_colors=colors)
+    checked = verify("p:-3,3,3", oracle_colors=[2.0, Fraction(3)]).oracle
+    assert [c.color for c in checked] == [2, 3]
+
+
 def test_oversized_color_fails_before_any_work(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before the color check")
@@ -179,6 +187,10 @@ def test_iter_strict_pretzels_validation():
         (-3, 3, 5),
         (-3, 5, 5),
     ]
+    # scan verifies every vector unfiltered: each one closes up into a knot
+    assert all(
+        PretzelKnot(q).is_knot() for q in iter_strict_pretzels(-9, 9, (2, 4))
+    )
 
 
 def test_cli_verify_pass(capsys):
