@@ -45,8 +45,6 @@ def even_length_cfe(r) -> list[int]:
     cf = positive_cfe(r)
     if len(cf) % 2 == 1:  # tail length is even
         return cf
-    if len(cf) == 1:
-        return cf
     last = cf[-1]
     if last > 0:
         return cf[:-1] + [last - 1, 1]

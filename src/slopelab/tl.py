@@ -108,27 +108,6 @@ class TLElement:
         pairs += [(j, size - 1 - j) for j in range(n) if j not in (i - 1, i)]
         return cls(n, n, {_matching(pairs, size): LaurentPoly.one()})
 
-    def scale(self, poly) -> "TLElement":
-        terms = {}
-        for m, c in self.terms.items():
-            c = c * poly
-            if c:
-                terms[m] = c
-        return TLElement(self.a, self.b, terms)
-
-    def __add__(self, other) -> "TLElement":
-        if (self.a, self.b) != (other.a, other.b):
-            raise ValueError(
-                f"frames differ: ({self.a}, {self.b}) and ({other.a}, {other.b})"
-            )
-        terms = {m: dict(c.coeffs) for m, c in self.terms.items()}
-        for m, c in other.terms.items():
-            addmul(terms.setdefault(m, {}), c.coeffs)
-        return TLElement(self.a, self.b, _wrap(terms))
-
-    def __sub__(self, other) -> "TLElement":
-        return self + other.scale(-1)
-
     def __eq__(self, other):
         if not isinstance(other, TLElement):
             return NotImplemented
@@ -373,7 +352,9 @@ def jw_projector(n: int) -> tuple[TLElement, LaurentPoly]:
     """Common-denominator form (P_n, D_n) of the n-strand projector.
 
     The projector itself is P_n / D_n; keeping the pair avoids
-    non-integer coefficients.
+    non-integer coefficients.  With W = tensor(P_{n-1}, 1) and d_k =
+    delta_n(k), the Wenzl recursion is one sandwich product,
+    P_n = W (d_{n-1} 1 - d_{n-2} e_{n-1}) W, since W W = D_{n-1} W.
     """
     if n < 1:
         raise ValueError("projector needs at least one strand")
@@ -381,12 +362,10 @@ def jw_projector(n: int) -> tuple[TLElement, LaurentPoly]:
         return TLElement.identity(1), LaurentPoly.one()
     p_prev, d_prev = jw_projector(n - 1)
     wide = tensor(p_prev, TLElement.identity(1))
-    cap = TLElement.cup_generator(n, n - 1)
-    dk = delta_n(n - 1)
-    dk_prev = delta_n(n - 2)
-    term1 = wide.scale(d_prev * dk)
-    term2 = tl_multiply(tl_multiply(wide, cap), wide).scale(dk_prev)
-    return term1 - term2, d_prev * d_prev * dk
+    (ident,) = TLElement.identity(n).terms
+    (cup,) = TLElement.cup_generator(n, n - 1).terms
+    middle = TLElement(n, n, {ident: delta_n(n - 1), cup: -delta_n(n - 2)})
+    return tl_multiply(tl_multiply(wide, middle), wide), d_prev * d_prev * delta_n(n - 1)
 
 
 def theta(a: int, b: int, c: int) -> LaurentPoly:

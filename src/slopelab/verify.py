@@ -175,11 +175,12 @@ def _requested_colors(oracle_colors) -> Optional[tuple[int, ...]]:
     """
     if oracle_colors is None:
         return None
-    if isinstance(oracle_colors, int):
-        colors = tuple(range(2, oracle_colors + 1))
-    else:
-        ints = {integral(c, "oracle color") for c in oracle_colors}
-        colors = tuple(sorted(c for c in ints if c >= 2))
+    try:
+        values = iter(oracle_colors)
+    except TypeError:  # a top color
+        values = range(2, integral(oracle_colors, "oracle color") + 1)
+    ints = {integral(c, "oracle color") for c in values}
+    colors = tuple(sorted(c for c in ints if c >= 2))
     if colors and colors[-1] > DEFAULT_COLOR_CAP:
         raise ColorTooLarge(f"color {colors[-1]} exceeds cap {DEFAULT_COLOR_CAP}")
     return colors
@@ -189,7 +190,7 @@ def verify(knot_spec, oracle_colors=None, force: bool = False) -> VerificationRe
     """Run the full three-way consistency check on one knot.
 
     ``oracle_colors`` may be None (diagram-size-dependent default), an
-    integer top color, or an iterable of integer-valued colors; colors
+    integer-valued top color, or an iterable of integer-valued colors; colors
     below 2 are dropped, and a color that is not integer-valued raises
     ValueError and one over the cap ColorTooLarge, before any work
     starts.  ``force`` evaluates the degree formulas outside their

@@ -204,7 +204,8 @@ def test_cup_generator_relations():
     for n in (2, 3, 4):
         for i in range(1, n):
             e = TLElement.cup_generator(n, i)
-            assert tl_multiply(e, e) == e.scale(LOOP)
+            (m,) = e.terms
+            assert tl_multiply(e, e) == TLElement(n, n, {m: LOOP})
     e1 = TLElement.cup_generator(3, 1)
     e2 = TLElement.cup_generator(3, 2)
     assert tl_multiply(tl_multiply(e1, e2), e1) == e1
@@ -229,8 +230,10 @@ def _planar_matchings(size):
 def _dense_generator(width, i, over_diag):
     """The braid generator v^k 1 + v^-k e_i as an element."""
     k = KAPPA if over_diag == 0 else -KAPPA
-    ident = TLElement.identity(width).scale(LaurentPoly.term(1, k))
-    return ident + TLElement.cup_generator(width, i).scale(LaurentPoly.term(1, -k))
+    (ident,) = TLElement.identity(width).terms
+    (cup,) = TLElement.cup_generator(width, i).terms
+    terms = {ident: LaurentPoly.term(1, k), cup: LaurentPoly.term(1, -k)}
+    return TLElement(width, width, terms)
 
 
 def _dense_block(cable, over_diag):
@@ -402,8 +405,6 @@ def test_frame_checks_raise_value_error():
     two, three = TLElement.identity(2), TLElement.identity(3)
     with pytest.raises(ValueError):
         tl_multiply(two, three)
-    with pytest.raises(ValueError):
-        two + three
     with pytest.raises(ValueError):
         markov_closure(TLElement(2, 0, {}))
     with pytest.raises(ValueError):
@@ -618,7 +619,8 @@ def test_delta_values():
 def test_jw_projector_idempotent_and_killed():
     for n in (2, 3, 4):
         p, d = jw_projector(n)
-        assert tl_multiply(p, p) == p.scale(d)
+        scaled = {m: c * d for m, c in p.terms.items()}
+        assert tl_multiply(p, p) == TLElement(n, n, scaled)
         for i in range(1, n):
             e = TLElement.cup_generator(n, i)
             assert tl_multiply(p, e) == TLElement(n, n, {})
@@ -686,6 +688,7 @@ def test_unknot_values():
 
 def test_trefoil_exact_polynomial():
     left = PretzelKnot((1, 1, 1))
+    assert colored_jones(left, 1) == LaurentPoly.one()
     assert colored_jones(left, 2) == LaurentPoly({18: 1, 10: -1, 6: -1, 2: -1})
     j3 = colored_jones(left, 3)
     assert (j3.min_degree(), j3.degree()) == (4, 48)

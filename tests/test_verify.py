@@ -110,6 +110,12 @@ def test_oracle_colors_must_be_integer_valued():
             verify("p:-3,5,5", oracle_colors=colors)
     checked = verify("p:-3,3,3", oracle_colors=[2.0, Fraction(3)]).oracle
     assert [c.color for c in checked] == [2, 3]
+    # a top color needs only to be integer-valued, like each listed color
+    for top in (3.0, Fraction(3)):
+        checked = verify("p:-3,3,3", oracle_colors=top).oracle
+        assert [c.color for c in checked] == [2, 3]
+    with pytest.raises(ValueError, match="oracle color must be an integer"):
+        verify("p:-3,3,3", oracle_colors=2.5)
 
 
 def test_oversized_color_fails_before_any_work(monkeypatch, capsys):
@@ -125,6 +131,19 @@ def test_oversized_color_fails_before_any_work(monkeypatch, capsys):
             verify("p:-3,5,5", oracle_colors=colors)
     assert cli.main(["verify", "p:-3,5,5", "--oracle-n", "5"]) == 2
     assert "exceeds cap" in capsys.readouterr().err
+
+
+def test_surface_side_mismatch_fails_the_report(monkeypatch, capsys):
+    verify_module = importlib.import_module("slopelab.verify")
+    for name in ("boundary_slope", "euler_over_sheets"):
+        real = getattr(verify_module, name)
+        monkeypatch.setattr(verify_module, name, lambda *a, f=real: f(*a) + 1)
+    r = verify("p:-3,5,5", oracle_colors=())
+    assert r.passed is False
+    assert "boundary slope 1 differs from degree slope 0" in r.reasons
+    assert "surface Euler ratio -1 differs from degree value -2" in r.reasons
+    assert cli.main(["verify", "p:-3,5,5", "--oracle-n", "2"]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_report_json_round_trip():
