@@ -24,6 +24,7 @@ from .cfrac import bracket_sums
 from .diagrams import build_standard_diagram  # noqa: F401
 from .errors import HypothesisViolation, NotAKnot
 from .knots import PretzelKnot, check_strict_pretzel
+from .qip import integral
 
 SSTAR = "SStar"
 REFERENCE = "Reference"
@@ -85,7 +86,7 @@ def s_and_s1(q) -> tuple[Fraction, Fraction]:
     With S = sum of 1/(qi - 1) over the positive-index entries,
     s = 1 + q0 + 1/S, and s1 is the S-weighted mean of qi + q0 - 2.
     """
-    q = tuple(int(x) for x in q)
+    q = tuple(integral(x, "twist entry") for x in q)
     if len(q) < 2:
         raise ValueError("need q0 and at least one further twist entry")
     q0, rest = q[0], q[1:]
@@ -138,7 +139,7 @@ def pretzel_js_jx(q, strict: bool = True) -> DegreeQuadratic:
     strict=False evaluates the same formulas anyway and records
     strict_ok=False in the result.
     """
-    q = tuple(int(x) for x in q)
+    q = tuple(integral(x, "twist entry") for x in q)
     if len(q) < 2:
         raise HypothesisViolation(["need q0 and at least one positive twist entry"])
     base_failures = _base_hypotheses(q)
@@ -249,8 +250,6 @@ def exceptional_scan(q0_min: int, qi_max: int, ms=(2, 3)) -> list[tuple[int, ...
     families where the leading degree coefficient js vanishes while
     the subleading analysis stays balanced.
     """
-    if q0_min > -2:
-        return []
     found = set()
     for m in ms:
         for q0 in range(q0_min, -1):

@@ -21,6 +21,7 @@ from functools import cached_property
 from . import diagrams
 from .cfrac import even_length_cfe, eval_cfe
 from .errors import HypothesisViolation, MoreThanOneNegativeTangle, NotAKnot
+from .qip import integral
 
 KNOT = "Knot"
 LINK = "Link"
@@ -50,7 +51,7 @@ class PretzelKnot(_KnotRecord):
     corrections = None  # a pretzel is its own associated pretzel
 
     def __post_init__(self):
-        q = tuple(int(x) for x in self.q)
+        q = tuple(integral(x, "twist entry") for x in self.q)
         object.__setattr__(self, "q", q)
         if len(q) < 2:
             raise ValueError("need at least two twist regions")

@@ -41,6 +41,8 @@ class LaurentPoly:
         if coeffs:
             for e, c in coeffs.items():
                 if c:
+                    if int(e) != e or int(c) != c:
+                        raise ValueError(f"non-integer term {c!r} v^{e!r}")
                     data[int(e)] = int(c)
         self.coeffs = data
 

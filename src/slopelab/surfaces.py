@@ -23,6 +23,7 @@ from typing import Optional
 
 from .cfrac import negative_cfe, partial_evaluations
 from .errors import AdjacencyViolation, NoSolution
+from .qip import integral
 
 INCOMPRESSIBLE = "Incompressible"
 INCONCLUSIVE = "Inconclusive"
@@ -126,7 +127,7 @@ def sstar_vector(q) -> tuple[tuple[Fraction, ...], int, tuple[int, ...]]:
     x*_i is proportional to 1/(q_i - 1) and sums to one; M clears all
     denominators at once.
     """
-    q = tuple(int(v) for v in q)
+    q = tuple(integral(v, "twist entry") for v in q)
     if any(qi <= 1 for qi in q[1:]):
         raise ValueError(f"positive-index entries must exceed 1: {q}")
     total = sum(Fraction(1, qi - 1) for qi in q[1:])

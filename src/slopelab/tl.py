@@ -12,16 +12,17 @@ to bottom point a + b - 1 - p of the upper one, and the same expression
 maps back.
 
 A product stacks every term of the upper element on every term of the
-lower one.  For each term of the element with fewer terms, the other
-element's coefficients are summed per (output matching, loop count),
-scaled by the loop power (narrow: loops + 1 monomials) once per key and
-summed per output matching; each non-zero sum is then multiplied by that
+lower one.  For each term of the lower element, the upper element's
+coefficients are summed per (output matching, loop count), scaled by
+the loop power (narrow: loops + 1 monomials) once per key and summed
+per output matching; each non-zero sum is then multiplied by that
 term's coefficient once.  So the wide coefficient products number one
-per (term of the smaller element, output matching), not one per pair of
-terms.  The closure likewise sums coefficients per loop count before
-multiplying by the loop power.  All of them accumulate in place in raw
-{exponent: coeff} dicts (``laurent.addmul``) and wrap each surviving
-coefficient into a LaurentPoly once, at the end.
+per (lower term, output matching), not one per pair of terms; in a
+cable's state sum the running element is the lower one and has the
+fewer terms.  The closure is one more product, against the cap that
+closes the element round the side.  All of them accumulate in place in
+raw {exponent: coeff} dicts (``laurent.addmul``) and wrap each
+surviving coefficient into a LaurentPoly once, at the end.
 
 Tangles are evaluated in the same boxed form the diagram builder uses:
 a crossing box is a width-2n braid block crossing two n-strand bundles,
@@ -72,18 +73,6 @@ PlanarMatching = tuple  # partner tuple: PlanarMatching[i] == j iff i -- j
 LOOP = LaurentPoly({-2: -1, 2: -1})
 
 
-def _matching(pairs, size) -> PlanarMatching:
-    partner = [-1] * size
-    for i, j in pairs:
-        if partner[i] != -1 or partner[j] != -1:
-            raise ValueError(f"point of ({i}, {j}) is already paired")
-        partner[i] = j
-        partner[j] = i
-    if -1 in partner:
-        raise ValueError(f"point {partner.index(-1)} is left unpaired")
-    return tuple(partner)
-
-
 class TLElement:
     """Formal sum of planar matchings on a fixed (a, b) frame."""
 
@@ -96,17 +85,16 @@ class TLElement:
 
     @classmethod
     def identity(cls, n: int) -> "TLElement":
-        size = 2 * n
-        m = _matching([(i, size - 1 - i) for i in range(n)], size)
-        return cls(n, n, {m: LaurentPoly.one()})
+        # point i meets point 2n - 1 - i
+        return cls(n, n, {tuple(range(2 * n - 1, -1, -1)): LaurentPoly.one()})
 
     @classmethod
     def cup_generator(cls, n: int, i: int) -> "TLElement":
         """e_i: turn-back at bottom strands i-1, i (1-based i < n)."""
         size = 2 * n
-        pairs = [(i - 1, i), (size - 1 - i, size - i)]
-        pairs += [(j, size - 1 - j) for j in range(n) if j not in (i - 1, i)]
-        return cls(n, n, {_matching(pairs, size): LaurentPoly.one()})
+        m = list(range(size - 1, -1, -1))
+        m[i - 1], m[i], m[size - 1 - i], m[size - i] = i, i - 1, size - i, size - 1 - i
+        return cls(n, n, {tuple(m): LaurentPoly.one()})
 
     def __eq__(self, other):
         if not isinstance(other, TLElement):
@@ -187,25 +175,22 @@ def _killed(m: PlanarMatching, cable: int) -> bool:
 
 def tl_multiply(x: TLElement, y: TLElement, cable: int = 0) -> TLElement:
     """Stack y on top of x (compose x then y), grouped per output
-    matching for each term of the element with fewer terms (see the
-    module docstring).  With cable > 0, x is a cable's running element:
-    an output matching that _killed rejects is skipped before any
-    coefficient work."""
+    matching for each term of x (see the module docstring).  With
+    cable > 0, x is a cable's running element: an output matching that
+    _killed rejects is skipped before any coefficient work."""
     if x.b != y.a:
         raise ValueError(f"arity mismatch: {x.b} outputs into {y.a} inputs")
     a, b = x.a, x.b
-    x_outer = len(x.terms) < len(y.terms)
-    outer, inner = (x, y) if x_outer else (y, x)
     out = {}
-    for mo, co in outer.terms.items():
+    for mx, cx in x.terms.items():
         keyed = {}  # (matching, loops) -> raw sum, or None when killed
-        for mi, ci in inner.terms.items():
-            key = _stack(mo, mi, a, b) if x_outer else _stack(mi, mo, a, b)
+        for my, cy in y.terms.items():
+            key = _stack(mx, my, a, b)
             acc = keyed.get(key)
             if acc is not None:
-                addmul(acc, ci.coeffs)
+                addmul(acc, cy.coeffs)
             elif key not in keyed:
-                keyed[key] = None if cable and _killed(key[0], cable) else dict(ci.coeffs)
+                keyed[key] = None if cable and _killed(key[0], cable) else dict(cy.coeffs)
         groups = {}
         for (m, loops), c in keyed.items():
             if c is not None:
@@ -213,7 +198,7 @@ def tl_multiply(x: TLElement, y: TLElement, cable: int = 0) -> TLElement:
         for m, c in groups.items():
             c = {e: v for e, v in c.items() if v}
             if c:
-                addmul(out.setdefault(m, {}), c, co.coeffs)
+                addmul(out.setdefault(m, {}), c, cx.coeffs)
     return TLElement(a, y.b, _wrap(out))
 
 
@@ -239,16 +224,11 @@ def markov_closure(x: TLElement) -> LaurentPoly:
     if x.a != x.b:
         raise ValueError(f"cannot close a ({x.a}, {x.b}) element")
     size = x.a + x.b
-    # the closure, a (size, 0) matching, joins i and size - 1 - i
-    closure = tuple(range(size - 1, -1, -1))
-    by_loops = {}
-    for m, c in x.terms.items():
-        _, loops = _stack(m, closure, 0, size)
-        addmul(by_loops.setdefault(loops, {}), c.coeffs)
-    total = {}
-    for loops, c in by_loops.items():
-        addmul(total, c, _loop_power(loops).coeffs)
-    return LaurentPoly(total)
+    # x read as a (0, size) element, under the identity's matching read
+    # as the (size, 0) cap that joins i to size - 1 - i
+    cap = TLElement(size, 0, TLElement.identity(x.a).terms)
+    closed = tl_multiply(TLElement(0, size, x.terms), cap)
+    return closed.terms.get((), LaurentPoly.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +313,11 @@ def tangle_element(runs, cable: int) -> TLElement:
 # Jones-Wenzl projectors
 
 
-@lru_cache(maxsize=None)
 def delta_n(n: int) -> LaurentPoly:
-    """Loop value of an n-colored unknot."""
-    if n == -1:
-        return LaurentPoly.zero()
+    """Loop value of an n-colored unknot, (-1)^n [n+1]."""
     if n < -1:
         raise ValueError("loop value undefined below n = -1")
-    num = LaurentPoly({-2 * (n + 1): 1, 2 * (n + 1): -1})
-    if n % 2 == 1:
-        num = num * -1
-    den = LaurentPoly({-2: 1, 2: -1})
-    return num.exact_div(den)
+    return LaurentPoly({2 * n - 4 * k: (-1) ** n for k in range(n + 1)})
 
 
 @lru_cache(maxsize=None)

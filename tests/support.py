@@ -9,8 +9,9 @@ with one projector below it, a reference for ``colored_jones``;
 ``_drop_projector_cups`` is the drop rule written out point by point,
 ``_times_generator`` stacks one braid generator, and ``rotate`` turns
 an element's disk, the reference for a vertical run's shifted word.
-``mirror`` substitutes v -> v^-1 and ``report_json`` renders a report's
-JSON text.  The three ``_*_entries`` recipes and ``ladder_search`` are
+``_matching`` builds a partner tuple from a list of pairs, checking
+that each point is paired once.  ``mirror`` substitutes v -> v^-1 and
+``report_json`` renders a report's JSON text.  The three ``_*_entries`` recipes and ``ladder_search`` are
 the earlier hand-derived edge-path expansions and ladder depth search,
 kept as a reference for ``negative_cfe`` and the closed-form depth.
 """
@@ -23,7 +24,6 @@ from slopelab.laurent import LaurentPoly
 from slopelab.tl import (
     DEFAULT_COLOR_CAP,
     TLElement,
-    _matching,
     _times_word,
     jw_projector,
     markov_closure,
@@ -73,6 +73,20 @@ def pd_code(d: Diagram):
             [label[(ci, (under_entry + k) % 4)] for k in range(4)]
         )
     return {"crossings": tuples, "signs": crossing_signs(d)}
+
+
+def _matching(pairs, size):
+    """The partner tuple of a list of pairs, checking that each of the
+    size points is paired exactly once."""
+    partner = [-1] * size
+    for i, j in pairs:
+        if partner[i] != -1 or partner[j] != -1:
+            raise ValueError(f"point of ({i}, {j}) is already paired")
+        partner[i] = j
+        partner[j] = i
+    if -1 in partner:
+        raise ValueError(f"point {partner.index(-1)} is left unpaired")
+    return tuple(partner)
 
 
 def _cabled_vertical_strands(cable: int) -> TLElement:

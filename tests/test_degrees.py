@@ -22,6 +22,7 @@ from slopelab.knots import (
     parse_knot_spec,
 )
 from slopelab.qip import maximize_degree
+from slopelab.surfaces import sstar_vector
 from slopelab.verify import predicted_min_degree
 
 WORKED = MontesinosKnot.from_fractions(
@@ -413,6 +414,23 @@ def test_exceptional_scan_box():
         assert PretzelKnot(q).is_knot()
         s, s1 = s_and_s1(q)
         assert s >= 0 and s1 == 0
+
+
+def test_twist_entries_must_be_integers():
+    # every entry point rejects a non-integer twist entry instead of
+    # computing on its truncation, and takes an integer-valued one as is
+    for call in (
+        lambda q: PretzelKnot(q),
+        pretzel_js_jx,
+        s_and_s1,
+        sstar_vector,
+        lambda q: maximize_degree(q, 2),
+    ):
+        for q in ((-3.5, 3, 3), (-3, 3.7, 3), (-3, 3, Fraction(7, 2))):
+            with pytest.raises(ValueError, match="twist entry must be an integer"):
+                call(q)
+        assert call((-3.0, Fraction(3), 3)) == call((-3, 3, 3))
+    assert PretzelKnot((-3.0, 3, Fraction(3))).q == (-3, 3, 3)
 
 
 def test_exceptional_scan_windows():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -44,6 +45,17 @@ def test_constant_hashes_as_its_int():
     assert {P({0: 3}): "three"}[3] == "three"
     assert LaurentPoly.zero() in {0}
     assert P({1: 3}) != 3 and P({0: 3, 1: 1}) not in {3}
+
+
+def test_constructor_rejects_non_integer_terms():
+    # an integer-valued float or Fraction is its int
+    assert P({2.0: Fraction(4, 2), 0: 3.0}) == P({2: 2, 0: 3})
+    assert P({0: Fraction(0, 5), 1: 0.0}) == LaurentPoly.zero()
+    for bad in ({0: Fraction(1, 2)}, {1.5: 1}, {0: 0.25}, {Fraction(3, 2): -1}):
+        with pytest.raises(ValueError):
+            P(bad)
+    with pytest.raises(ValueError):
+        LaurentPoly.term(Fraction(1, 3), 2)
 
 
 def test_add_sub_cancelation():

@@ -18,7 +18,6 @@ from slopelab.tl import (
     TLElement,
     _block_word,
     _killed,
-    _matching,
     _projector_trace,
     _stack,
     _times_word,
@@ -35,6 +34,7 @@ from slopelab.tl import (
 from slopelab.diagrams import over_diagonal
 from support import (
     _drop_projector_cups,
+    _matching,
     _times_generator,
     colored_jones_one_projector,
     colored_jones_unknot,
@@ -614,6 +614,10 @@ def test_delta_values():
     assert delta_n(3) == -quantum_int(4)
     for n in range(5):
         assert delta_n(n) == (-1) ** n * quantum_int(n + 1)
+    # the closed form's edge: Delta_{-1} is the empty sum; below it, nothing
+    assert delta_n(-1) == LaurentPoly.zero()
+    with pytest.raises(ValueError):
+        delta_n(-2)
 
 
 def test_jw_projector_idempotent_and_killed():

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ import pytest
 import slopelab
 from slopelab import cli
 from slopelab.errors import ColorTooLarge, HypothesisViolation, NotAKnot
-from slopelab.knots import PretzelKnot, parse_knot_spec
+from slopelab.knots import MontesinosKnot, PretzelKnot, parse_knot_spec
 from slopelab.verify import (
     SCHEMA,
     iter_strict_pretzels,
@@ -174,6 +176,50 @@ def test_report_json_montesinos_corrections():
     assert corr["writhe_pretzel"] == -13
     assert corr["q0_prime"] == -9
     assert data["surface"]["reference_slope"] == "4"
+
+
+def test_report_json_is_native_through_both_entry_points():
+    """On drawn strict pretzel and Montesinos knots, the CLI's JSON text
+    loads back to exactly ``to_json_dict()`` of the library report: the
+    payload holds only JSON-native values, and both entry points agree."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    odd = st.integers(1, 5).map(lambda k: 2 * k + 1)
+    tail = st.integers(1, 12).flatmap(
+        lambda d: st.integers(1, d).map(lambda k: Fraction(k, d))
+    )
+    counts = st.sampled_from([2, 4])
+
+    def check(knot, spec):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = cli.main(["verify", spec, "--oracle-n", "1", "--json", "-"])
+        report = verify(knot, oracle_colors=())
+        assert status == (0 if report.passed else 1)
+        assert json.loads(out.getvalue()) == report.to_json_dict()
+
+    @hypothesis.settings(deadline=None, max_examples=40)
+    @hypothesis.given(odd, counts.flatmap(lambda m: st.lists(odd, min_size=m, max_size=m)))
+    def check_pretzel(b0, positives):
+        q = (-b0, *positives)
+        check(PretzelKnot(q), "p:" + ",".join(map(str, q)))
+
+    @hypothesis.settings(deadline=None, max_examples=40)
+    @hypothesis.given(
+        odd,
+        tail,
+        counts.flatmap(lambda m: st.lists(st.tuples(odd, tail), min_size=m, max_size=m)),
+    )
+    def check_montesinos(b0, x0, positives):
+        fractions = [-1 / (b0 + 1 - x0)] + [1 / (qi - 1 + x) for qi, x in positives]
+        try:
+            knot = MontesinosKnot.from_fractions(fractions)
+        except NotAKnot:
+            hypothesis.assume(False)
+        check(knot, knot.spec())
+
+    check_pretzel()
+    check_montesinos()
 
 
 def test_scan_box_all_pass():
