@@ -43,12 +43,26 @@ and two give the same bracket as one because a projector is idempotent.
 The running element is built bottom to top without them.  A term with
 a cup inside either bottom bundle is killed by the projectors, and
 stacking on top never removes a bottom cup, so the kernels skip such
-terms before any coefficient work (their cable argument).  The closure
-is one cached trace per surviving matching m, the closure of the two
-projectors stacked under m, so no projector product is formed per
-knot.  The crossing smoothing weights are fixed by the same chirality
-convention as the diagrams, ``diagrams.over_diagonal`` (see ``KAPPA``
-and the tests).
+terms before any coefficient work (their cable and bundle-mask
+arguments; bundle j holds points j*c .. (j+1)*c - 1 of the cable's
+frame).  The closure is one cached trace per surviving matching m, the
+closure of the two projectors stacked under m, so no projector product
+is formed per knot.  The crossing smoothing weights are fixed by the
+same chirality convention as the diagrams, ``diagrams.over_diagonal``
+(see ``KAPPA`` and the tests).
+
+The same pair of projectors may sit on a seam between tangles.  The
+seam above tangle T_i carries it when the tangles above route both
+bottom points to the top at cable 1 (the routing gate): it then slides
+up through them and round the closure onto the bottom projectors,
+which absorb it.  On such a seam every term with a cup inside a top
+bundle is zero, in the running element and in T_i itself.  Seams are
+filtered bottom to top, one side each: the bottom cups of T_(i+1) are
+kept, since dropping them would slide the projector down through an
+element that is already filtered.  Inside a tangle, a cup in a bundle
+that no later run touches is permanent and is dropped at once: a
+vertical run acts on bundles 1 and 2 only, a horizontal run on 2 and
+3, so a pretzel column drops top bundle 3 from its second block on.
 """
 from __future__ import annotations
 
@@ -58,6 +72,7 @@ from .diagrams import over_diagonal
 from .errors import ColorTooLarge, InadmissibleTriple
 from .knots import require_knot
 from .laurent import LaurentPoly, addmul
+from .qip import integral
 
 # Smoothing weight of a crossing whose over strand runs along the
 # NW-SE diagonal (over_diagonal == 0): v^KAPPA on the through-going
@@ -71,6 +86,11 @@ DEFAULT_COLOR_CAP = 4
 PlanarMatching = tuple  # partner tuple: PlanarMatching[i] == j iff i -- j
 
 LOOP = LaurentPoly({-2: -1, 2: -1})
+
+# Bundle masks on a cable's (2 cable, 2 cable) frame: bit j selects
+# bundle j, points j*cable .. (j+1)*cable - 1.  Bundles 0 and 1 are the
+# bottom, left to right, and 2 and 3 the top, right to left.
+BOTTOM, TOP = 0b0011, 0b1100
 
 
 class TLElement:
@@ -165,22 +185,36 @@ def _wrap(raw: dict, shift: int = 0) -> dict:
     return {m: LaurentPoly.wrap(d) for m, d in shifted if d}
 
 
-def _killed(m: PlanarMatching, cable: int) -> bool:
-    """Whether m has a cup inside bottom bundle 1 (points 0..cable-1) or
-    bottom bundle 2 (cable..2*cable-1), so that the projectors stacked
-    below it kill it.  A cup inside a bundle encloses one that joins
-    neighbours, so only neighbours are checked."""
-    return any(m[i] == i + 1 for i in range(2 * cable - 1) if i != cable - 1)
+def _cups(cable: int, mask: int) -> tuple:
+    """The points i that share a bundle of mask with i + 1 (see BOTTOM)."""
+    bundles = [j for j in range(4) if mask >> j & 1]
+    return tuple(i for j in bundles for i in range(j * cable, (j + 1) * cable - 1))
 
 
-def tl_multiply(x: TLElement, y: TLElement, cable: int = 0) -> TLElement:
+def _killed(m: PlanarMatching, cups: tuple) -> bool:
+    """Whether m has a cup inside a bundle of the mask that cups came
+    from, so that the projectors on those bundles kill it.  A cup inside
+    a bundle encloses one that joins neighbours, so only neighbours are
+    checked."""
+    return any(m[i] == i + 1 for i in cups)
+
+
+def _drop_killed(x: TLElement, cable: int, mask: int) -> TLElement:
+    """x without the terms that _killed rejects for the bundles of mask."""
+    cups = _cups(cable, mask)
+    return TLElement(x.a, x.b, {m: c for m, c in x.terms.items() if not _killed(m, cups)})
+
+
+def tl_multiply(x: TLElement, y: TLElement, cable: int = 0, mask: int = BOTTOM) -> TLElement:
     """Stack y on top of x (compose x then y), grouped per output
     matching for each term of x (see the module docstring).  With
     cable > 0, x is a cable's running element: an output matching that
-    _killed rejects is skipped before any coefficient work."""
+    _killed rejects for the bundles of mask is skipped before any
+    coefficient work."""
     if x.b != y.a:
         raise ValueError(f"arity mismatch: {x.b} outputs into {y.a} inputs")
     a, b = x.a, x.b
+    cups = _cups(cable, mask)
     out = {}
     for mx, cx in x.terms.items():
         keyed = {}  # (matching, loops) -> raw sum, or None when killed
@@ -190,7 +224,7 @@ def tl_multiply(x: TLElement, y: TLElement, cable: int = 0) -> TLElement:
             if acc is not None:
                 addmul(acc, cy.coeffs)
             elif key not in keyed:
-                keyed[key] = None if cable and _killed(key[0], cable) else dict(cy.coeffs)
+                keyed[key] = None if cups and _killed(key[0], cups) else dict(cy.coeffs)
         groups = {}
         for (m, loops), c in keyed.items():
             if c is not None:
@@ -235,18 +269,23 @@ def markov_closure(x: TLElement) -> LaurentPoly:
 # crossing blocks and tangle assembly
 
 
-def _times_word(x: TLElement, word, over_diag: int, cable: int = 0) -> TLElement:
+def _times_word(
+    x: TLElement, word, over_diag: int, cable: int = 0, mask: int = BOTTOM
+) -> TLElement:
     """Stack the braid generators v^k 1 + v^-k e_i for i in word on top
     of x, where k = KAPPA for over_diag 0 and -KAPPA otherwise, each as
     1 + v^-2k e_i; the factors v^k are one shift, at the wrap.  An e_i
     target is copied on its first write, so no input dict changes.  With
-    cable > 0, x is a cable's running element: its terms that _killed
-    rejects are dropped, and so is an e_i target that joins two points
-    of one bottom bundle, before any coefficient work."""
+    cable > 0, the word touches no bundle of mask, so a cup inside one
+    is never undone: x's terms that _killed rejects are dropped, and so
+    is an e_i target that joins two points of one masked bundle, before
+    any coefficient work."""
     k = KAPPA if over_diag == 0 else -KAPPA
     loop, down = LOOP.shift(-2 * k).coeffs, {-2 * k: 1}
-    bottom = 2 * cable  # points below this lie in the bottom bundles
-    terms = {m: c.coeffs for m, c in x.terms.items() if not (cable and _killed(m, cable))}
+    cups = _cups(cable, mask)
+    # a masked point's bundle; every other point has a label of its own
+    bundle = [p // cable if cable and mask >> p // cable & 1 else -1 - p for p in range(x.a + x.b)]
+    terms = {m: c.coeffs for m, c in x.terms.items() if not _killed(m, cups)}
     for i in word:
         # labels of the top points on strands i-1 and i (counted from the left)
         u = x.a + x.b - i
@@ -259,8 +298,8 @@ def _times_word(x: TLElement, word, over_diag: int, cable: int = 0) -> TLElement
                 turned, weight = m, loop
             else:
                 a, b = m[u], m[w]
-                if a < bottom and b < bottom and (a < cable) == (b < cable):
-                    continue  # a new cup inside one bottom bundle
+                if bundle[a] == bundle[b]:
+                    continue  # a new cup inside one masked bundle
                 p = list(m)
                 p[a], p[b], p[u], p[w] = b, a, w, u
                 turned, weight = tuple(p), down
@@ -283,30 +322,77 @@ def crossing_block(cable: int, over_diag: int) -> TLElement:
     return _times_word(TLElement.identity(2 * cable), _block_word(cable), over_diag)
 
 
-def tangle_element(runs, cable: int) -> TLElement:
-    """Evaluate one tangle recipe at the given cable width.
+def _run_words(runs, cable: int):
+    """The over diagonal of a tangle's first block, and per run the
+    (word, over_diag) that stacks the run's other blocks on it.
 
     Blocks of a horizontal run are stacked on top.  A vertical run
     attaches them below the east-west axis instead: that is the same
     word on the points a quarter turn round, where a block's over
     diagonal flips.
     """
-    element = None
+    first, words = None, []
     for axis, count, sense in runs:
         over_diag = over_diagonal(sense)
-        if element is None and count:
-            element, count = crossing_block(cable, over_diag), count - 1
-        if not count:
-            continue
+        if first is None and count:
+            first, count = over_diag, count - 1
         word = count * _block_word(cable)
         if axis == "v":
             # a word index counts top labels round the disk, so generator
             # i + cable is generator i a quarter turn round
             word, over_diag = [i + cable for i in word], 1 - over_diag
-        element = _times_word(element, word, over_diag)
-    if element is None:
+        words.append((word, over_diag))
+    if first is None:
         raise ValueError("tangle has no crossings")
-    return element
+    return first, words
+
+
+def _touched(word, cable: int) -> int:
+    """Bundle mask of the points that word's generators act on: generator
+    i acts on labels 4 cable - i and 4 cable - i - 1."""
+    return sum({1 << (4 * cable - i - d) // cable for i in word for d in (0, 1)})
+
+
+def tangle_element(runs, cable: int, mask: int = 0) -> TLElement:
+    """Evaluate one tangle recipe at the given cable width.
+
+    mask selects top bundles that carry a projector on the seam above
+    the tangle (see _seam_masks): their cups are dropped once no later
+    run touches the bundle, and all of them after assembly.
+    """
+    first, words = _run_words(runs, cable)
+    element = crossing_block(cable, first)
+    for r, (word, over_diag) in enumerate(words):
+        if word:
+            busy = _touched([i for later, _ in words[r:] for i in later], cable)
+            element = _times_word(element, word, over_diag, cable, mask & ~busy)
+    return _drop_killed(element, cable, mask)
+
+
+def _routing(runs) -> tuple:
+    """Where a tangle's strands run at cable 1: one of the three
+    matchings of its four points.  The points are read as a (0, 4) frame
+    and each generator i of its words is stacked on them as the braid
+    generator crossing strands i-1 and i."""
+    _, words = _run_words(runs, 1)
+    route = (3, 2, 1, 0)
+    for i in _block_word(1) + [i for word, _ in words for i in word]:
+        sigma = list(range(7, -1, -1))
+        sigma[i - 1], sigma[i], sigma[7 - i], sigma[8 - i] = 7 - i, 8 - i, i - 1, i
+        route, _ = _stack(route, tuple(sigma), 0, 4)
+    return route
+
+
+def _seam_masks(tangles) -> list:
+    """Per tangle, TOP when the seam above it carries a projector on each
+    bundle, else 0: when the tangles above route both bottom points to
+    the top, so that the projectors slide up through them and round the
+    closure onto the bottom ones."""
+    masks, above = [], (3, 2, 1, 0)  # routing of the tangles above
+    for runs in reversed(tangles):
+        masks.append(TOP if above[0] != 1 else 0)
+        above, _ = _stack(_routing(runs), above, 2, 2)
+    return masks[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +462,21 @@ def _projector_trace(m: PlanarMatching, cable: int) -> LaurentPoly:
 
 def _projected_bracket(knot, cable: int) -> LaurentPoly:
     """Kauffman bracket of the cable with a projector on each bottom
-    bundle.  The cable of a knot is one band, so the projector of one
-    bundle slides round to the other, and a projector is idempotent: two
-    give the bracket with one inserted."""
+    bundle, and on each bundle of every seam that _seam_masks gates.  The
+    cable of a knot is one band, so the projector of one bundle slides
+    round to the other, and a projector is idempotent: two give the
+    bracket with one inserted."""
     element = TLElement.identity(2 * cable)
-    for runs in knot.twist_runs:
+    tangles = knot.twist_runs
+    for runs, top in zip(tangles, _seam_masks(tangles)):
         (_, count, sense), *rest = runs
         if rest or count > 1:
-            element = tl_multiply(element, tangle_element(runs, cable), cable)
+            tangle = tangle_element(runs, cable, top)
+            element = tl_multiply(element, tangle, cable, BOTTOM | top)
         else:  # a single crossing (a pretzel entry +-1) is stacked in place
             word = _block_word(cable)
             element = _times_word(element, word, over_diagonal(sense), cable)
+            element = _drop_killed(element, cable, top)
     _, denom = jw_projector(cable)
     total = {}
     for m, c in element.terms.items():
@@ -397,6 +487,7 @@ def _projected_bracket(knot, cable: int) -> LaurentPoly:
 def colored_jones(knot, n: int, color_cap: int = DEFAULT_COLOR_CAP) -> LaurentPoly:
     """n-colored Jones polynomial of the knot, unknot-normalized to the
     convention where the unknot gives (v^2n - v^-2n)/(v^2 - v^-2)."""
+    n = integral(n, "color")
     if n < 1:
         raise ValueError("color must be at least 1")
     if n > color_cap:

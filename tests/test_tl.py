@@ -12,13 +12,18 @@ from slopelab.errors import ColorTooLarge, InadmissibleTriple, SlopelabError
 from slopelab.knots import MontesinosKnot, PretzelKnot, parse_knot_spec
 from slopelab.laurent import LaurentPoly
 from slopelab.tl import (
+    BOTTOM,
     DEFAULT_COLOR_CAP,
     KAPPA,
     LOOP,
     TLElement,
     _block_word,
+    _cups,
+    _drop_killed,
     _killed,
     _projector_trace,
+    _routing,
+    _seam_masks,
     _stack,
     _times_word,
     colored_jones,
@@ -537,7 +542,8 @@ def test_dropped_matchings_are_killed_by_projector(cable):
     )
     kept = _drop_projector_cups(every, cable)
     assert len(kept.terms) == {1: 2, 2: 6, 3: 20}[cable]
-    assert set(kept.terms) == {m for m in every.terms if not _killed(m, cable)}
+    cups = _cups(cable, BOTTOM)
+    assert set(kept.terms) == {m for m in every.terms if not _killed(m, cups)}
     proj, _ = jw_projector(cable)
     bottom = tensor(proj, proj)
     for m in every.terms:
@@ -555,7 +561,8 @@ def test_projector_trace_closed_form(cable):
     # loop of P_k closes it, so the normalized trace is delta_c^2 / delta_k.
     width = 2 * cable
     _, denom = jw_projector(cable)
-    kept = [m for m in _planar_matchings(2 * width) if not _killed(m, cable)]
+    cups = _cups(cable, BOTTOM)
+    kept = [m for m in _planar_matchings(2 * width) if not _killed(m, cups)]
     assert len(kept) == {1: 2, 2: 6, 3: 20}[cable]
     for m in kept:
         trace = _projector_trace(m, cable)
@@ -757,9 +764,11 @@ def test_frozen_color4_polynomials(spec, text):
     assert colored_jones(parse_knot_spec(spec), 4) == parse_poly(text)
 
 
-# Whole colour-5 polynomials (cable width 4), recorded from the state sum
-# that accumulated every coefficient through LaurentPoly + and *, one
-# new polynomial per addend, before the in-place kernels replaced it.
+# Whole colour-5 polynomials (cable width 4).  The first two were recorded
+# from the state sum that accumulated every coefficient through
+# LaurentPoly + and *, one new polynomial per addend, before the in-place
+# kernels replaced it; the last three from the state sum that multiplied
+# every tangle in on the full frame, before the seam projectors.
 FROZEN_COLOR5 = [
     (
         "p:1,1,1",
@@ -774,6 +783,45 @@ FROZEN_COLOR5 = [
         " - v^-104 - 2*v^-108 - v^-112 - v^-128 + v^-132 + 2*v^-136 + v^-140"
         " - v^-148 + v^-152 + 2*v^-156 - v^-164 - 2*v^-168 + v^-176 + v^-180"
         " - 2*v^-188 + v^-196 + v^-200 + v^-204 - v^-208 - v^-212 - v^-216 + v^-224",
+    ),
+    (
+        "p:-3,3,3",
+        "v^248 - v^240 - v^236 - v^232 + v^228 + v^224 + v^220 - 2*v^212 - v^208"
+        " + v^200 + 2*v^196 + 2*v^192 + v^188 - v^184 - 2*v^180 - v^176 + v^172"
+        " + v^168 + v^164 - 2*v^160 - 4*v^156 - 3*v^152 + 3*v^144 + v^140"
+        " - 2*v^132 - v^128 + 3*v^124 + 4*v^120 + 3*v^116 - 2*v^108 + v^104"
+        " + 2*v^100 + 2*v^96 - v^92 - 4*v^88 - 2*v^84 - v^80 - v^76 - 2*v^72"
+        " - 3*v^68 - v^64 + v^60 + v^56 + 3*v^44 + 3*v^40 + 3*v^36 + 2*v^32"
+        " - 2*v^24 - v^20 + v^16 + 2*v^12 + v^8 - 4*v^4 - 3 - v^-4 + 4*v^-8"
+        " + 4*v^-12 - 2*v^-16 - 3*v^-20 - 3*v^-24 + v^-28 + 3*v^-32 + v^-36"
+        " + v^-40",
+    ),
+    (
+        "p:-3,5,5",
+        "v^408 - v^400 - v^396 - v^392 + v^388 + v^384 + v^380 - 2*v^372 - v^368"
+        " + v^360 + 2*v^356 + 2*v^352 + v^348 - v^344 - 2*v^340 - 3*v^336 - v^332"
+        " + v^328 + 3*v^324 + 4*v^320 - 3*v^312 - 5*v^308 - 3*v^304 + 2*v^300"
+        " + 5*v^296 + 5*v^292 - 6*v^284 - 8*v^280 - 5*v^276 + 2*v^272 + 8*v^268"
+        " + 8*v^264 + 3*v^260 - 6*v^256 - 9*v^252 - 4*v^248 + 5*v^244 + 14*v^240"
+        " + 9*v^236 - 2*v^232 - 11*v^228 - 11*v^224 + v^220 + 11*v^216 + 11*v^212"
+        " + v^208 - 13*v^204 - 13*v^200 - 3*v^196 + 9*v^192 + 11*v^188 - v^184"
+        " - 12*v^180 - 12*v^176 + v^172 + 12*v^168 + 9*v^164 - 4*v^160 - 10*v^156"
+        " - 5*v^152 + 7*v^148 + 11*v^144 + 2*v^140 - 5*v^136 - 3*v^132 + 2*v^128"
+        " + 4*v^124 - 2*v^120 - 2*v^116 + 4*v^112 + 7*v^108 + 3*v^104 - 9*v^100"
+        " - 11*v^96 - 2*v^92 + 8*v^88 + 12*v^84 + 5*v^80 - 6*v^76 - 16*v^72"
+        " - 13*v^68 + 5*v^64 + 17*v^60 + 15*v^56 - 5*v^52 - 22*v^48 - 15*v^44"
+        " + 5*v^40 + 18*v^36 + 10*v^32 - 6*v^28 - 10*v^24 - 3*v^20 + 5*v^16"
+        " + 6*v^12 + 3*v^8",
+    ),
+    (
+        "m:-1/2,1/3,2/3",
+        "v^208 - v^200 - v^196 - v^192 + v^188 + v^184 + v^180 - 2*v^172 - v^168"
+        " + v^160 + 2*v^156 + v^152 - v^144 - v^140 + v^136 + 2*v^132 + v^128"
+        " - v^124 - 3*v^120 - 2*v^116 + 2*v^108 + v^104 - 2*v^100 - 2*v^96"
+        " + 2*v^88 + 2*v^84 - v^80 - 2*v^76 + v^68 + v^64 - v^60 - v^56 - v^40"
+        " - v^36 + v^32 + v^28 + v^24 + v^20 + v^16 + v^8 + 3*v^4 + 4 + 2*v^-4"
+        " - v^-8 - 4*v^-12 - 2*v^-16 + 3*v^-20 + 2*v^-24 - v^-28 - 4*v^-32"
+        " - 3*v^-36 + v^-40 + 2*v^-44 + 2*v^-48 - v^-56",
     ),
 ]
 
@@ -851,6 +899,68 @@ def _recipe_sweep(seed, count):
     return list(knots.values())
 
 
+def test_colored_jones_matches_one_projector_closure_recipe_sweep():
+    # Even entries, non-strict pretzels and Montesinos knots route some
+    # tangles to a cup-cap, so some seams carry no projector here.
+    gated_off = 0
+    for knot in _recipe_sweep(31, 80):
+        gated_off += 0 in _seam_masks(knot.twist_runs)
+        for n in (2, 3):
+            assert colored_jones(knot, n) == colored_jones_one_projector(knot, n), knot.spec()
+    assert gated_off >= 20
+
+
+def test_routing_of_twist_runs():
+    # At cable 1 an odd run routes to the crossing.  An even vertical run
+    # (a pretzel column) routes to a cup-cap, where the bottom points
+    # meet each other; an even horizontal run routes straight through.
+    for q in range(1, 8):
+        for sense in (1, -1):
+            even = {"v": (1, 0, 3, 2), "h": (3, 2, 1, 0)}
+            for axis, route in even.items():
+                expected = (2, 3, 0, 1) if q % 2 else route
+                assert _routing([(axis, q, sense)]) == expected, (axis, q * sense)
+
+
+@pytest.mark.parametrize("spec", ["m:-1/3,2/7,1/4", "p:-3,4,5"])
+def test_seam_projectors_need_the_routing_gate(monkeypatch, spec):
+    import slopelab.tl as tl
+
+    knot = parse_knot_spec(spec)
+    reference = colored_jones_one_projector(knot, 3)
+    assert 0 in _seam_masks(knot.twist_runs)
+    assert colored_jones(knot, 3) == reference
+    # every tangle routed straight through: every seam carries projectors
+    monkeypatch.setattr(tl, "_routing", lambda runs: (3, 2, 1, 0))
+    assert 0 not in _seam_masks(knot.twist_runs)
+    assert colored_jones(knot, 3) != reference
+
+
+def test_seam_projectors_filter_one_side(monkeypatch):
+    import slopelab.tl as tl
+
+    knot = parse_knot_spec("p:-3,3,3")
+    reference = colored_jones_one_projector(knot, 3)
+    assert colored_jones(knot, 3) == reference
+    assemble = tl.tangle_element
+
+    def both_sides(runs, cable, mask=0):
+        # also drop the tangle's bottom cups, on the seam below it
+        return _drop_killed(assemble(runs, cable, mask), cable, BOTTOM | mask)
+
+    monkeypatch.setattr(tl, "tangle_element", both_sides)
+    assert colored_jones(knot, 3) != reference
+
+
+def test_color_must_be_integer_valued():
+    knot = parse_knot_spec("p:-3,3,3")
+    assert colored_jones(knot, 2.0) == colored_jones(knot, 2)
+    assert colored_jones(knot, Fraction(3)) == colored_jones(knot, 3)
+    for bad in (2.5, Fraction(5, 2), "2"):
+        with pytest.raises(ValueError):
+            colored_jones(knot, bad)
+
+
 def test_twist_runs_shapes():
     # _projected_bracket stacks a tangle in place only when it is a single
     # crossing; that choice relies on these two recipe shapes.
@@ -870,14 +980,14 @@ def test_projected_bracket_stacks_single_crossings_in_place(monkeypatch):
     built, in_place = [], []
     times_word, assemble = tl._times_word, tl.tangle_element
 
-    def spy_times_word(x, word, over_diag, cable=0):
-        if cable:
+    def spy_times_word(x, word, over_diag, cable=0, mask=BOTTOM):
+        if cable and mask & BOTTOM:  # the running element, not a tangle's
             in_place.append(over_diag)
-        return times_word(x, word, over_diag, cable)
+        return times_word(x, word, over_diag, cable, mask)
 
-    def spy_tangle_element(runs, cable):
+    def spy_tangle_element(runs, cable, mask=0):
         built.append(runs)
-        return assemble(runs, cable)
+        return assemble(runs, cable, mask)
 
     monkeypatch.setattr(tl, "_times_word", spy_times_word)
     monkeypatch.setattr(tl, "tangle_element", spy_tangle_element)
