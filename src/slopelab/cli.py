@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .degrees import exceptional_scan
@@ -162,6 +163,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print(text: str) -> None:
+    """Print text to stdout.  A reader that has gone away (a closed
+    pipe, as under ``| head -1``) only ends the printing: stdout is
+    pointed at os.devnull, so later prints and Python's flush at exit
+    write nowhere instead of failing, and the command keeps its status."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -170,11 +184,11 @@ def main(argv=None) -> int:
         # with --json - the payload owns stdout; the report comes first
         # otherwise, so an unwritable path still prints it
         if args.json != "-":
-            print(*lines, sep="\n")
+            _print("\n".join(lines))
         if args.json:
             text = json.dumps(payload, indent=2, sort_keys=True)
             if args.json == "-":
-                print(text)
+                _print(text)
             else:
                 with open(args.json, "w", encoding="ascii") as fh:
                     fh.write(text + "\n")

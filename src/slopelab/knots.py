@@ -23,10 +23,6 @@ from .cfrac import even_length_cfe, eval_cfe
 from .errors import HypothesisViolation, MoreThanOneNegativeTangle, NotAKnot
 from .qip import integral
 
-KNOT = "Knot"
-LINK = "Link"
-
-
 class _KnotRecord:
     """Derived data of a knot; every reader shares the one diagram."""
 
@@ -68,7 +64,7 @@ class PretzelKnot(_KnotRecord):
         return [[("v", abs(q), 1 if q > 0 else -1)] for q in self.q]
 
     def is_knot(self) -> bool:
-        return classify(self.fractions) == KNOT
+        return tangle_sum_parity(self.fractions)[0] == 1
 
     def mirror(self) -> "PretzelKnot":
         return PretzelKnot(tuple(-x for x in self.q))
@@ -138,20 +134,20 @@ def montesinos_spec(fractions) -> str:
     return "m:" + ",".join(str(r) for r in fractions)
 
 
-def classify(fractions) -> str:
-    """Decide Knot vs Link for the double-branched tangle closure.
+def tangle_sum_parity(fractions) -> tuple[int, int]:
+    """Where the strands of a sum of rational tangles run: its fraction
+    p/q mod 2, folded as (p, q) <- (p d + n q, q d) over the fractions
+    n/d in lowest terms, from (0, 1) and never reduced (1/2 + 1/2 reads
+    (0, 0), where a reduced sum would read (1, 1)).
 
-    With every fraction in lowest terms, the closure is a knot exactly
-    when one denominator is even, or when all denominators are odd and
-    the number of odd numerators is odd.
+    The closure of the sum is a knot exactly when p is odd.  With q odd
+    the sum routes its two bottom points to the top; with q even it
+    joins them to each other.
     """
-    fr = [Fraction(r) for r in fractions]
-    even_dens = sum(r.denominator % 2 == 0 for r in fr)
-    if even_dens == 1:
-        return KNOT
-    if even_dens == 0 and sum(r.numerator % 2 != 0 for r in fr) % 2 == 1:
-        return KNOT
-    return LINK
+    p, q = 0, 1
+    for r in map(Fraction, fractions):
+        p, q = (p * r.denominator + r.numerator * q) % 2, q * r.denominator % 2
+    return p, q
 
 
 def normalize_reduced(fractions) -> tuple[Fraction, ...]:
@@ -260,7 +256,7 @@ def parse_knot_spec(text: str):
 
 def require_knot(knot):
     """Raise NotAKnot when the model closes up into a link."""
-    if classify(knot.fractions) != KNOT:
+    if tangle_sum_parity(knot.fractions)[0] != 1:
         raise NotAKnot(f"{knot.spec()} closes up into a link")
 
 

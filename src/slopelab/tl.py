@@ -53,16 +53,19 @@ same chirality convention as the diagrams, ``diagrams.over_diagonal``
 
 The same pair of projectors may sit on a seam between tangles.  The
 seam above tangle T_i carries it when the tangles above route both
-bottom points to the top at cable 1 (the routing gate): it then slides
-up through them and round the closure onto the bottom projectors,
-which absorb it.  On such a seam every term with a cup inside a top
-bundle is zero, in the running element and in T_i itself.  Seams are
-filtered bottom to top, one side each: the bottom cups of T_(i+1) are
-kept, since dropping them would slide the projector down through an
-element that is already filtered.  Inside a tangle, a cup in a bundle
-that no later run touches is permanent and is dropped at once: a
-vertical run acts on bundles 1 and 2 only, a horizontal run on 2 and
-3, so a pretzel column drops top bundle 3 from its second block on.
+bottom points to the top, which their fractions decide mod 2: the sum
+of the fractions above, folded without reducing by
+``knots.tangle_sum_parity``, has an odd denominator (the parity gate).
+The projector then slides up through them and round the closure onto
+the bottom projectors, which absorb it.  On such a seam every term
+with a cup inside a top bundle is zero, in the running element and in
+T_i itself.  Seams are filtered bottom to top, one side each: the
+bottom cups of T_(i+1) are kept, since dropping them would slide the
+projector down through an element that is already filtered.  Inside a
+tangle, a cup in a bundle that no later run touches is permanent and
+is dropped at once: a vertical run acts on bundles 1 and 2 only, a
+horizontal run on 2 and 3, so a pretzel column drops top bundle 3 from
+its second block on.
 """
 from __future__ import annotations
 
@@ -70,7 +73,7 @@ from functools import lru_cache
 
 from .diagrams import over_diagonal
 from .errors import ColorTooLarge, InadmissibleTriple
-from .knots import require_knot
+from .knots import require_knot, tangle_sum_parity
 from .laurent import LaurentPoly, addmul
 from .qip import integral
 
@@ -369,30 +372,12 @@ def tangle_element(runs, cable: int, mask: int = 0) -> TLElement:
     return _drop_killed(element, cable, mask)
 
 
-def _routing(runs) -> tuple:
-    """Where a tangle's strands run at cable 1: one of the three
-    matchings of its four points.  The points are read as a (0, 4) frame
-    and each generator i of its words is stacked on them as the braid
-    generator crossing strands i-1 and i."""
-    _, words = _run_words(runs, 1)
-    route = (3, 2, 1, 0)
-    for i in _block_word(1) + [i for word, _ in words for i in word]:
-        sigma = list(range(7, -1, -1))
-        sigma[i - 1], sigma[i], sigma[7 - i], sigma[8 - i] = 7 - i, 8 - i, i - 1, i
-        route, _ = _stack(route, tuple(sigma), 0, 4)
-    return route
-
-
-def _seam_masks(tangles) -> list:
+def _seam_masks(fractions) -> list:
     """Per tangle, TOP when the seam above it carries a projector on each
     bundle, else 0: when the tangles above route both bottom points to
-    the top, so that the projectors slide up through them and round the
-    closure onto the bottom ones."""
-    masks, above = [], (3, 2, 1, 0)  # routing of the tangles above
-    for runs in reversed(tangles):
-        masks.append(TOP if above[0] != 1 else 0)
-        above, _ = _stack(_routing(runs), above, 2, 2)
-    return masks[::-1]
+    the top (``tangle_sum_parity`` reads q odd), so that the projectors
+    slide up through them and round the closure onto the bottom ones."""
+    return [TOP if tangle_sum_parity(fractions[i + 1 :])[1] else 0 for i in range(len(fractions))]
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +452,7 @@ def _projected_bracket(knot, cable: int) -> LaurentPoly:
     round to the other, and a projector is idempotent: two give the
     bracket with one inserted."""
     element = TLElement.identity(2 * cable)
-    tangles = knot.twist_runs
-    for runs, top in zip(tangles, _seam_masks(tangles)):
+    for runs, top in zip(knot.twist_runs, _seam_masks(knot.fractions)):
         (_, count, sense), *rest = runs
         if rest or count > 1:
             tangle = tangle_element(runs, cable, top)

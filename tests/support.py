@@ -14,16 +14,25 @@ that each point is paired once.  ``mirror`` substitutes v -> v^-1 and
 ``report_json`` renders a report's JSON text.  The three ``_*_entries`` recipes and ``ladder_search`` are
 the earlier hand-derived edge-path expansions and ladder depth search,
 kept as a reference for ``negative_cfe`` and the closed-form depth.
+``_routing`` and ``seam_masks_by_routing`` trace the strands of a
+tangle's crossing words at cable 1, and ``classify_by_cases`` is the
+earlier case rule for knot against link: both are second routes to
+``knots.tangle_sum_parity``.
 """
 import json
 import re
+from fractions import Fraction
 
 from slopelab.diagrams import Diagram, _traverse, crossing_signs
 from slopelab.errors import ColorTooLarge
 from slopelab.laurent import LaurentPoly
 from slopelab.tl import (
     DEFAULT_COLOR_CAP,
+    TOP,
     TLElement,
+    _block_word,
+    _run_words,
+    _stack,
     _times_word,
     jw_projector,
     markov_closure,
@@ -165,6 +174,43 @@ def colored_jones_one_projector(knot, n: int) -> LaurentPoly:
     bracket = markov_closure(element).exact_div(denom)
     framing = LaurentPoly.term(1 if cable % 2 == 0 else -1, -knot.writhe * (n * n - 1))
     return framing * bracket
+
+
+def _routing(runs) -> tuple:
+    """Where a tangle's strands run at cable 1: one of the three
+    matchings of its four points.  The points are read as a (0, 4) frame
+    and each generator i of its words is stacked on them as the braid
+    generator crossing strands i-1 and i."""
+    _, words = _run_words(runs, 1)
+    route = (3, 2, 1, 0)
+    for i in _block_word(1) + [i for word, _ in words for i in word]:
+        sigma = list(range(7, -1, -1))
+        sigma[i - 1], sigma[i], sigma[7 - i], sigma[8 - i] = 7 - i, 8 - i, i - 1, i
+        route, _ = _stack(route, tuple(sigma), 0, 4)
+    return route
+
+
+def seam_masks_by_routing(tangles) -> list:
+    """``tl._seam_masks`` read off the strands: TOP on the seam above a
+    tangle when the routings of the tangles above, stacked, join
+    bottom point 0 to the top rather than to bottom point 1."""
+    masks, above = [], (3, 2, 1, 0)  # routing of the tangles above
+    for runs in reversed(tangles):
+        masks.append(TOP if above[0] != 1 else 0)
+        above, _ = _stack(_routing(runs), above, 2, 2)
+    return masks[::-1]
+
+
+def classify_by_cases(fractions) -> bool:
+    """Whether the tangle closure is a knot, by cases: with every
+    fraction in lowest terms, exactly when one denominator is even, or
+    when all denominators are odd and the number of odd numerators is
+    odd."""
+    fr = [Fraction(r) for r in fractions]
+    even_dens = sum(r.denominator % 2 == 0 for r in fr)
+    if even_dens == 1:
+        return True
+    return even_dens == 0 and sum(r.numerator % 2 != 0 for r in fr) % 2 == 1
 
 
 _TERM_RE = re.compile(

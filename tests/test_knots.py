@@ -12,17 +12,16 @@ from slopelab.errors import (
     NotAKnot,
 )
 from slopelab.knots import (
-    KNOT,
-    LINK,
     MontesinosKnot,
     PretzelKnot,
     associated_pretzel,
     check_strict_pretzel,
-    classify,
     normalize_reduced,
     parse_knot_spec,
     require_knot,
+    tangle_sum_parity,
 )
+from support import classify_by_cases
 
 WORKED = [
     Fraction(-46, 327),
@@ -56,11 +55,39 @@ def test_pretzel_validation():
 
 
 def test_classify_table():
-    assert classify([Fraction(-1, 2), Fraction(1, 3), Fraction(1, 7)]) == KNOT
-    assert classify([Fraction(-1, 2), Fraction(1, 3), Fraction(1, 4)]) == LINK
-    assert classify([Fraction(1, 3)] * 3) == KNOT
-    assert classify([Fraction(1, 3), Fraction(1, 5)]) == LINK
-    assert classify(WORKED) == KNOT
+    table = [
+        ([Fraction(-1, 2), Fraction(1, 3), Fraction(1, 7)], True),
+        ([Fraction(-1, 2), Fraction(1, 3), Fraction(1, 4)], False),
+        ([Fraction(1, 3)] * 3, True),
+        ([Fraction(1, 3), Fraction(1, 5)], False),
+        (WORKED, True),
+    ]
+    for fractions, knot in table:
+        assert classify_by_cases(fractions) == knot, fractions
+        assert (tangle_sum_parity(fractions)[0] == 1) == knot, fractions
+
+
+def test_tangle_sum_parity_folds_without_reducing():
+    assert tangle_sum_parity([]) == (0, 1)
+    # 1/2 + 1/2 joins the bottom points twice over: a reduced sum, 1/1,
+    # would read (1, 1)
+    assert tangle_sum_parity([Fraction(1, 2)] * 2) == (0, 0)
+    assert tangle_sum_parity([Fraction(1, 3), 2, Fraction(-3, 4)]) == (1, 0)
+    assert tangle_sum_parity([Fraction(1, 3), Fraction(1, 5)]) == (0, 1)
+
+
+def test_tangle_sum_parity_matches_the_case_rule():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # integers and even denominators included
+    fraction = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+    @hypothesis.settings(deadline=None, max_examples=400)
+    @hypothesis.given(st.lists(fraction, min_size=1, max_size=5))
+    def check(fractions):
+        assert (tangle_sum_parity(fractions)[0] == 1) == classify_by_cases(fractions)
+
+    check()
 
 
 def test_is_knot_examples():

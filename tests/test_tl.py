@@ -9,7 +9,7 @@ import pytest
 import slopelab
 from slopelab.degrees import montesinos_js_jx
 from slopelab.errors import ColorTooLarge, InadmissibleTriple, SlopelabError
-from slopelab.knots import MontesinosKnot, PretzelKnot, parse_knot_spec
+from slopelab.knots import MontesinosKnot, PretzelKnot, parse_knot_spec, tangle_sum_parity
 from slopelab.laurent import LaurentPoly
 from slopelab.tl import (
     BOTTOM,
@@ -22,7 +22,6 @@ from slopelab.tl import (
     _drop_killed,
     _killed,
     _projector_trace,
-    _routing,
     _seam_masks,
     _stack,
     _times_word,
@@ -40,12 +39,14 @@ from slopelab.diagrams import over_diagonal
 from support import (
     _drop_projector_cups,
     _matching,
+    _routing,
     _times_generator,
     colored_jones_one_projector,
     colored_jones_unknot,
     mirror,
     parse_poly,
     rotate,
+    seam_masks_by_routing,
 )
 
 
@@ -904,7 +905,7 @@ def test_colored_jones_matches_one_projector_closure_recipe_sweep():
     # tangles to a cup-cap, so some seams carry no projector here.
     gated_off = 0
     for knot in _recipe_sweep(31, 80):
-        gated_off += 0 in _seam_masks(knot.twist_runs)
+        gated_off += 0 in _seam_masks(knot.fractions)
         for n in (2, 3):
             assert colored_jones(knot, n) == colored_jones_one_projector(knot, n), knot.spec()
     assert gated_off >= 20
@@ -922,17 +923,34 @@ def test_routing_of_twist_runs():
                 assert _routing([(axis, q, sense)]) == expected, (axis, q * sense)
 
 
+# the routing of a tangle by the parity class of its fraction: the
+# crossing, a cup-cap, or straight through
+ROUTE_OF_PARITY = {(1, 1): (2, 3, 0, 1), (1, 0): (1, 0, 3, 2), (0, 1): (3, 2, 1, 0)}
+
+
+def test_seam_masks_match_the_strand_trace():
+    classes = set()
+    for knot in _recipe_sweep(31, 80):
+        assert _seam_masks(knot.fractions) == seam_masks_by_routing(knot.twist_runs), knot.spec()
+        for r, runs in zip(knot.fractions, knot.twist_runs):
+            parity = tangle_sum_parity([r])
+            classes.add(parity)
+            assert _routing(runs) == ROUTE_OF_PARITY[parity], (knot.spec(), r)
+    assert classes == set(ROUTE_OF_PARITY)
+
+
 @pytest.mark.parametrize("spec", ["m:-1/3,2/7,1/4", "p:-3,4,5"])
 def test_seam_projectors_need_the_routing_gate(monkeypatch, spec):
     import slopelab.tl as tl
 
     knot = parse_knot_spec(spec)
     reference = colored_jones_one_projector(knot, 3)
-    assert 0 in _seam_masks(knot.twist_runs)
+    assert 0 in _seam_masks(knot.fractions)
     assert colored_jones(knot, 3) == reference
-    # every tangle routed straight through: every seam carries projectors
-    monkeypatch.setattr(tl, "_routing", lambda runs: (3, 2, 1, 0))
-    assert 0 not in _seam_masks(knot.twist_runs)
+    # every tangle sum read with an odd denominator: every seam carries
+    # projectors
+    monkeypatch.setattr(tl, "tangle_sum_parity", lambda fractions: (1, 1))
+    assert 0 not in _seam_masks(knot.fractions)
     assert colored_jones(knot, 3) != reference
 
 

@@ -471,13 +471,49 @@ def test_cli_montesinos_errors_name_the_spec(capsys, spec, message):
     assert captured.err == f"error: {message}\n"
 
 
-def _run_cli(*args):
-    """Run the command line in a fresh interpreter, so a hang fails the test."""
+def _run_cli(*args, stdout=subprocess.PIPE):
+    """Run the command line in a fresh interpreter, so a hang fails the
+    test, with stdout buffered as it is by default."""
     code = "import sys; from slopelab.cli import main; sys.exit(main(sys.argv[1:]))"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(slopelab.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(slopelab.__file__))
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code, *args],
+        env=env,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
     )
+
+
+def _run_cli_into_closed_pipe(*args):
+    """_run_cli with stdout on a pipe whose reader has gone away, as
+    under ``slopelab ... | head -1`` once head has exited."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return _run_cli(*args, stdout=write)
+    finally:
+        os.close(write)
+
+
+def test_cli_closed_stdout_keeps_the_status(tmp_path):
+    # the printing stops; the status, stderr and a --json file do not change
+    run = _run_cli_into_closed_pipe("jones", "p:-7,5,7,3,5", "--n", "3")
+    assert (run.returncode, run.stderr) == (0, "")
+    target = tmp_path / "report.json"
+    run = _run_cli_into_closed_pipe("verify", "p:-3,5,5", "--json", str(target))
+    assert (run.returncode, run.stderr) == (0, "")
+    assert target.read_text() == report_json(verify("p:-3,5,5")) + "\n"
+    run = _run_cli_into_closed_pipe("verify", "p:-2,3,7", "--force", "--json", str(target))
+    assert (run.returncode, run.stderr) == (1, "")
+    assert target.read_text() == report_json(verify("p:-2,3,7", force=True)) + "\n"
+    # an unwritable --json path is still bad input
+    missing = tmp_path / "missing" / "x.json"
+    run = _run_cli_into_closed_pipe("verify", "p:-3,5,5", "--json", str(missing))
+    assert run.returncode == 2
+    assert run.stderr == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_cli_spec_without_reduced_form_fails_fast():
