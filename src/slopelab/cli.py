@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .degrees import exceptional_scan
 from .errors import SlopelabError
@@ -105,7 +106,10 @@ def _cmd_jones(args):
     return 0, lines, {"color": args.n, "coefficients": pairs}
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared: every
+    ``main`` call in a process parses with the same one."""
     parser = argparse.ArgumentParser(
         prog="slopelab",
         description="Degree growth, candidate surfaces, and direct "

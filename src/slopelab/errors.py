@@ -18,10 +18,6 @@ class MultiComponent(SlopelabError):
     """A diagram traversal found more than one component."""
 
 
-class InadmissibleTriple(SlopelabError):
-    """Three colors that cannot meet at a trivalent vertex."""
-
-
 class ColorTooLarge(SlopelabError):
     """Requested color exceeds the configured evaluation budget."""
 

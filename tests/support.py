@@ -17,14 +17,16 @@ kept as a reference for ``negative_cfe`` and the closed-form depth.
 ``_routing`` and ``seam_masks_by_routing`` trace the strands of a
 tangle's crossing words at cable 1, and ``classify_by_cases`` is the
 earlier case rule for knot against link: both are second routes to
-``knots.tangle_sum_parity``.
+``knots.tangle_sum_parity``.  ``theta`` is the closed form of the theta
+network, with ``InadmissibleTriple`` for colours that cannot meet; the
+state sum has no trivalent vertices, so no library code needs them.
 """
 import json
 import re
 from fractions import Fraction
 
 from slopelab.diagrams import Diagram, _traverse, crossing_signs
-from slopelab.errors import ColorTooLarge
+from slopelab.errors import ColorTooLarge, SlopelabError
 from slopelab.laurent import LaurentPoly
 from slopelab.tl import (
     DEFAULT_COLOR_CAP,
@@ -34,6 +36,7 @@ from slopelab.tl import (
     _run_words,
     _stack,
     _times_word,
+    delta_n,
     jw_projector,
     markov_closure,
     tangle_element,
@@ -123,6 +126,29 @@ def colored_jones_unknot(n: int, color_cap: int = DEFAULT_COLOR_CAP) -> LaurentP
     )
     value = markov_closure(element).exact_div(denom)
     return value if cable % 2 == 0 else value * -1
+
+
+class InadmissibleTriple(SlopelabError):
+    """Three colors that cannot meet at a trivalent vertex."""
+
+
+def theta(a: int, b: int, c: int) -> LaurentPoly:
+    """Loop value of two trivalent vertices joined along all three legs."""
+    if (a + b + c) % 2 or abs(a - b) > c or c > a + b or min(a, b, c) < 0:
+        raise InadmissibleTriple(f"colors ({a}, {b}, {c}) cannot meet")
+    m = (a + b - c) // 2
+    n = (b + c - a) // 2
+    p = (c + a - b) // 2
+
+    def dfact(k):
+        out = LaurentPoly.one()
+        for i in range(k + 1):
+            out = out * delta_n(i)
+        return out
+
+    num = dfact(m + n + p) * dfact(m - 1) * dfact(n - 1) * dfact(p - 1)
+    den = dfact(m + n - 1) * dfact(n + p - 1) * dfact(p + m - 1)
+    return num.exact_div(den)
 
 
 def _times_generator(x: TLElement, i: int, over_diag: int) -> TLElement:

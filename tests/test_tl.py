@@ -8,7 +8,7 @@ import pytest
 
 import slopelab
 from slopelab.degrees import montesinos_js_jx
-from slopelab.errors import ColorTooLarge, InadmissibleTriple, SlopelabError
+from slopelab.errors import ColorTooLarge, SlopelabError
 from slopelab.knots import MontesinosKnot, PretzelKnot, parse_knot_spec, tangle_sum_parity
 from slopelab.laurent import LaurentPoly
 from slopelab.tl import (
@@ -17,6 +17,7 @@ from slopelab.tl import (
     KAPPA,
     LOOP,
     TLElement,
+    TOP,
     _block_word,
     _cups,
     _drop_killed,
@@ -32,11 +33,11 @@ from slopelab.tl import (
     markov_closure,
     tangle_element,
     tensor,
-    theta,
     tl_multiply,
 )
 from slopelab.diagrams import over_diagonal
 from support import (
+    InadmissibleTriple,
     _drop_projector_cups,
     _matching,
     _routing,
@@ -47,6 +48,7 @@ from support import (
     parse_poly,
     rotate,
     seam_masks_by_routing,
+    theta,
 )
 
 
@@ -1023,6 +1025,48 @@ def test_projected_bracket_stacks_single_crossings_in_place(monkeypatch):
     assert singles
 
 
+@pytest.mark.parametrize("runs", [[("v", 3, 1)], [("h", 2, 1), ("v", 2, -1)]])
+def test_tangle_cache_keys_on_the_seam_mask(runs):
+    # the same recipe at the same cable, with and without projectors on
+    # the seam above it: two elements, each equal to a fresh assembly
+    import slopelab.tl as tl
+
+    fresh = tl._assemble_tangle.__wrapped__
+    open_seam, closed_seam = tangle_element(runs, 2, TOP), tangle_element(runs, 2, 0)
+    assert open_seam != closed_seam
+    assert open_seam == fresh(tuple(runs), 2, TOP)
+    assert closed_seam == fresh(tuple(runs), 2, 0) == _dense_tangle(runs, 2)
+    assert open_seam == _drop_killed(_dense_tangle(runs, 2), 2, TOP)
+    # a list recipe and its tuple share one entry
+    assert tangle_element(runs, 2, TOP) is tangle_element(tuple(runs), 2, TOP)
+
+
+def test_tangle_cache_shares_no_element_that_callers_change(monkeypatch):
+    # After a sweep of state sums every cached element is still the
+    # fresh assembly: no caller changed a shared element in place.  The
+    # warm values equal the ones computed again from an empty cache.
+    import slopelab.tl as tl
+
+    assemble, keys = tl.tangle_element, set()
+
+    def spy_tangle_element(runs, cable, mask=0):
+        keys.add((tuple(runs), cable, mask))
+        return assemble(runs, cable, mask)
+
+    monkeypatch.setattr(tl, "tangle_element", spy_tangle_element)
+    knots = _recipe_sweep(37, 40)
+    tl._assemble_tangle.cache_clear()
+    warm = [colored_jones(knot, n) for n in (2, 3) for knot in knots]
+    info = tl._assemble_tangle.cache_info()
+    assert info.hits and info.currsize == len(keys)  # nothing evicted
+    assert {mask for _, _, mask in keys} == {0, TOP}
+    for runs, cable, mask in keys:
+        expected = _drop_killed(_dense_tangle(runs, cable), cable, mask)
+        assert assemble(runs, cable, mask) == expected, (runs, cable, mask)
+    tl._assemble_tangle.cache_clear()
+    assert warm == [colored_jones(knot, n) for n in (2, 3) for knot in knots]
+
+
 def test_worked_example_spans():
     worked = MontesinosKnot.from_fractions(
         [
@@ -1070,6 +1114,55 @@ def test_mirror_symmetry_random_pretzels():
             assert colored_jones(knot.mirror(), n) == mirror(colored_jones(knot, n))
 
     check()
+
+
+def test_colored_jones_is_invariant_under_tangle_permutations():
+    # A permutation of the rational tangles is a product of mutations,
+    # which the sl2 colored Jones polynomials do not see (Morton-Cromwell,
+    # J. Knot Theory Ramifications 5, 1996): colours 2-3, and 4 on small
+    # knots.  The permuted knot reads other recipes, and meets the recipes
+    # of the first knot, warm in the tangle cache, under other seam masks.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    twist = st.integers(-5, 5).filter(bool)
+    fraction = st.builds(Fraction, st.integers(1, 6), st.integers(2, 7)).filter(lambda r: r < 1)
+
+    @st.composite
+    def knot_and_permutation(draw):
+        if draw(st.booleans()):
+            q = draw(st.lists(twist, min_size=3, max_size=4))
+            order = draw(st.permutations(q))
+            return PretzelKnot(tuple(q)), PretzelKnot(tuple(order))
+        head = -draw(fraction)
+        tail = draw(st.lists(fraction, min_size=2, max_size=3))
+        order = draw(st.permutations(tail))
+        return MontesinosKnot((head, *tail)), MontesinosKnot((head, *order))
+
+    def recipes(knot):
+        return sorted(zip(map(tuple, knot.twist_runs), _seam_masks(knot.fractions)))
+
+    moved = []
+
+    @hypothesis.settings(deadline=None, max_examples=30)
+    @hypothesis.given(knot_and_permutation())
+    @hypothesis.example((PretzelKnot((-3, 4, 5)), PretzelKnot((-3, 5, 4))))
+    @hypothesis.example(
+        (
+            MontesinosKnot((Fraction(-1, 3), Fraction(2, 7), Fraction(1, 4))),
+            MontesinosKnot((Fraction(-1, 3), Fraction(1, 4), Fraction(2, 7))),
+        )
+    )
+    def check(pair):
+        knot, permuted = pair
+        hypothesis.assume(tangle_sum_parity(knot.fractions)[0] == 1)
+        crossings = sum(count for runs in knot.twist_runs for _, count, _ in runs)
+        hypothesis.assume(crossings <= 15)
+        moved.append(recipes(knot) != recipes(permuted))
+        for n in (2, 3, 4) if crossings <= 9 else (2, 3):
+            assert colored_jones(permuted, n) == colored_jones(knot, n), (knot.spec(), n)
+
+    check()
+    assert any(moved)
 
 
 def test_tangle_contraction_order_independent():

@@ -341,6 +341,36 @@ def test_cli_scan(tmp_path, capsys):
     assert len(json.loads(target.read_text())) == 3
 
 
+def test_cli_parser_is_built_once_and_carries_nothing_over(capsys):
+    # main parses every call with one shared parser: no option of one
+    # call may leak into the next
+    assert cli.build_parser() is cli.build_parser()
+    box = ["scan", "--q0-min", "-5", "--qi-max", "5"]
+    assert cli.main(box) == 0
+    two_tangles = capsys.readouterr().out
+    assert "6 knots checked, 0 failures" in two_tangles
+    assert cli.main(box[:1] + ["--m", "3"] + box[1:]) == 2
+    assert "tangle count 3" in capsys.readouterr().err
+    assert cli.main(box) == 0
+    assert capsys.readouterr().out == two_tangles
+    assert cli.main(box + ["--m", "4"]) == 0
+    assert "p:-3,3,3,3,3" in capsys.readouterr().out
+    assert cli.main(box) == 0
+    assert capsys.readouterr().out == two_tangles
+    # --force on a knot outside the strict hypotheses, then without it
+    assert cli.main(["verify", "p:-2,3,7", "--force"]) == 1
+    assert cli.main(["verify", "p:-2,3,7"]) == 2
+    assert "error:" in capsys.readouterr().err
+    # a refused command line, then a good one
+    for bad in (["verify"], ["verify", "p:-3,3,3", "--oracle-n", "two"], ["nope"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(["verify", "p:-3,3,3"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_cli_scan_exits_1_on_a_failed_report(monkeypatch, capsys):
     passing = verify("p:-3,3,3", oracle_colors=())
     failing = dataclasses.replace(passing, reasons=("forced failure",))
