@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--m",
         type=int,
         action="append",
-        help="positive tangle count (repeatable; default 2)",
+        help="tangle count, repeatable: even (default 2), or any positive with --exceptional",
     )
     p_scan.add_argument("--oracle-n", type=int, default=None)
     p_scan.add_argument("--force", action="store_true")

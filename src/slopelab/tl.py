@@ -11,18 +11,15 @@ a (b, c) element on an (a, b) one joins top point p of the lower element
 to bottom point a + b - 1 - p of the upper one, and the same expression
 maps back.
 
-A product stacks every term of the upper element on every term of the
-lower one.  For each term of the lower element, the upper element's
-coefficients are summed per (output matching, loop count), scaled by
-the loop power (narrow: loops + 1 monomials) once per key and summed
-per output matching; each non-zero sum is then multiplied by that
-term's coefficient once.  So the wide coefficient products number one
-per (lower term, output matching), not one per pair of terms; in a
-cable's state sum the running element is the lower one and has the
-fewer terms.  The closure is one more product, against the cap that
-closes the element round the side.  All of them accumulate in place in
-raw {exponent: coeff} dicts (``laurent.addmul``) and wrap each
-surviving coefficient into a LaurentPoly once, at the end.
+A product x y sums, over the terms of x, the coefficient times the row
+of its matching: that matching stacked under y, with y's coefficients
+summed per (output matching, loop count) and scaled by the loop power
+(loops + 1 monomials) once per key.  So the wide coefficient products
+number one per (term of x, output matching); in a cable's state sum x
+is the running element, the side with the fewer terms.  The closure is
+one more product, against the cap round the side.  Coefficients
+accumulate in place in raw {exponent: coeff} dicts (``laurent.addmul``)
+and are wrapped into LaurentPolys once, at the end.
 
 Tangles are evaluated in the same boxed form the diagram builder uses:
 a crossing box is a width-2n braid block crossing two n-strand bundles,
@@ -33,23 +30,21 @@ number of terms: the identity smoothing keeps each coefficient, only the
 e_i targets accumulate, and a run of blocks carries one v^k shift.  A
 horizontal run stacks its blocks' word on top; a vertical run is the
 same word on the points a quarter turn round, where a block's over
-diagonal flips.  A tangle that is a single crossing (a pretzel entry
-+-1) is stacked onto the running element in place; any other tangle
-is assembled on its own, once per process for each (recipe, cable,
-seam mask), and multiplied in.
+diagonal flips.  Each tangle, a single crossing included, is assembled
+once per process for each (recipe, cable, seam mask).  The state sum
+takes one step per tangle: each term of the running element times the
+row of its matching with the tangle, cached once per process.
 
 The cable of a knot carries a Jones-Wenzl projector on each of its two
 bottom bundles: the cable is one band, so a projector slides along it,
 and two give the same bracket as one because a projector is idempotent.
-The running element is built bottom to top without them.  A term with
-a cup inside either bottom bundle is killed by the projectors, and
-stacking on top never removes a bottom cup, so the kernels skip such
-terms before any coefficient work (their cable and bundle-mask
-arguments; bundle j holds points j*c .. (j+1)*c - 1 of the cable's
-frame).  The closure is one cached trace per surviving matching m, the
-closure of the two projectors stacked under m, so no projector product
-is formed per knot.  The crossing smoothing weights are fixed by the
-same chirality convention as the diagrams, ``diagrams.over_diagonal``
+The running element is built bottom to top without them.  They kill a
+term with a cup inside either bottom bundle (bundle j holds points j*c
+.. (j+1)*c - 1 of the frame), and stacking on top never removes a
+bottom cup, so a row leaves such outputs out before any coefficient
+work.  The closure is one cached trace per surviving matching m, the
+closure of the two projectors stacked under m.  The crossing smoothing
+weights follow the diagrams' chirality, ``diagrams.over_diagonal``
 (see ``KAPPA`` and the tests).
 
 The same pair of projectors may sit on a seam between tangles.  The
@@ -209,35 +204,40 @@ def _drop_killed(x: TLElement, cable: int, mask: int) -> TLElement:
     return TLElement(x.a, x.b, {m: c for m, c in x.terms.items() if not _killed(m, cups)})
 
 
-def tl_multiply(x: TLElement, y: TLElement, cable: int = 0, mask: int = BOTTOM) -> TLElement:
-    """Stack y on top of x (compose x then y), grouped per output
-    matching for each term of x (see the module docstring).  With
-    cable > 0, x is a cable's running element: an output matching that
-    _killed rejects for the bundles of mask is skipped before any
-    coefficient work."""
-    if x.b != y.a:
-        raise ValueError(f"arity mismatch: {x.b} outputs into {y.a} inputs")
-    a, b = x.a, x.b
-    cups = _cups(cable, mask)
+def _matching_times(mx: PlanarMatching, y: TLElement, a: int, cups: tuple = ()) -> dict:
+    """The row of mx: y stacked on the one matching mx of an (a, y.a)
+    element, as raw sums per output matching without the zero ones.  An
+    output that _killed rejects for cups is skipped before any work."""
+    keyed = {}  # (matching, loops) -> raw sum, or None when killed
+    for my, cy in y.terms.items():
+        key = _stack(mx, my, a, y.a)
+        acc = keyed.get(key)
+        if acc is not None:
+            addmul(acc, cy.coeffs)
+        elif key not in keyed:
+            keyed[key] = None if cups and _killed(key[0], cups) else dict(cy.coeffs)
+    groups = {}
+    for (m, loops), c in keyed.items():
+        if c is not None:
+            addmul(groups.setdefault(m, {}), c, _loop_power(loops).coeffs)
+    nonzero = ((m, {e: v for e, v in c.items() if v}) for m, c in groups.items())
+    return {m: c for m, c in nonzero if c}
+
+
+def _sum_rows(x: TLElement, b: int, row, *args) -> TLElement:
+    """The (x.a, b) element: x's coefficients times row(matching, *args)."""
     out = {}
     for mx, cx in x.terms.items():
-        keyed = {}  # (matching, loops) -> raw sum, or None when killed
-        for my, cy in y.terms.items():
-            key = _stack(mx, my, a, b)
-            acc = keyed.get(key)
-            if acc is not None:
-                addmul(acc, cy.coeffs)
-            elif key not in keyed:
-                keyed[key] = None if cups and _killed(key[0], cups) else dict(cy.coeffs)
-        groups = {}
-        for (m, loops), c in keyed.items():
-            if c is not None:
-                addmul(groups.setdefault(m, {}), c, _loop_power(loops).coeffs)
-        for m, c in groups.items():
-            c = {e: v for e, v in c.items() if v}
-            if c:
-                addmul(out.setdefault(m, {}), c, cx.coeffs)
-    return TLElement(a, y.b, _wrap(out))
+        for m, c in row(mx, *args).items():
+            addmul(out.setdefault(m, {}), c, cx.coeffs)
+    return TLElement(x.a, b, _wrap(out))
+
+
+def tl_multiply(x: TLElement, y: TLElement) -> TLElement:
+    """Stack y on top of x (compose x then y); see the module docstring."""
+    if x.b != y.a:
+        raise ValueError(f"arity mismatch: {x.b} outputs into {y.a} inputs")
+    return _sum_rows(x, y.b, _matching_times, y, x.a)
 
 
 def tensor(x: TLElement, y: TLElement) -> TLElement:
@@ -273,9 +273,7 @@ def markov_closure(x: TLElement) -> LaurentPoly:
 # crossing blocks and tangle assembly
 
 
-def _times_word(
-    x: TLElement, word, over_diag: int, cable: int = 0, mask: int = BOTTOM
-) -> TLElement:
+def _times_word(x: TLElement, word, over_diag: int, cable: int = 0, mask: int = 0) -> TLElement:
     """Stack the braid generators v^k 1 + v^-k e_i for i in word on top
     of x, where k = KAPPA for over_diag 0 and -KAPPA otherwise, each as
     1 + v^-2k e_i; the factors v^k are one shift, at the wrap.  An e_i
@@ -369,9 +367,8 @@ def tangle_element(runs, cable: int, mask: int = 0) -> TLElement:
     return _assemble_tangle(tuple(runs), cable, mask)
 
 
-# A verify pass over 62 knots at colours 2-3 makes about 70 distinct
-# assemblies (0.2 MB); at colour 4 one of a run of up to 21 crossings
-# holds about 0.1 MB.
+# A verify pass over 62 knots at colours 2-3 makes about 70 assemblies
+# (0.2 MB); at colour 4 one of a run of 21 crossings holds about 0.1 MB.
 @lru_cache(maxsize=128)
 def _assemble_tangle(runs: tuple, cable: int, mask: int) -> TLElement:
     first, words = _run_words(runs, cable)
@@ -389,6 +386,18 @@ def _seam_masks(fractions) -> list:
     the top (``tangle_sum_parity`` reads q odd), so that the projectors
     slide up through them and round the closure onto the bottom ones."""
     return [TOP if tangle_sum_parity(fractions[i + 1 :])[1] else 0 for i in range(len(fractions))]
+
+
+ROW_CACHE_SIZE = 1024  # a verify pass over 62 knots builds 125 rows (0.2 MB)
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _row(m: PlanarMatching, runs: tuple, cable: int, top: int) -> dict:
+    """The row of matching m times one tangle, without the outputs that
+    the projectors on the bottom bundles or, on a gated seam (top, see
+    _seam_masks), the top ones kill.  Shared: callers must not change it."""
+    tangle = tangle_element(runs, cable, top)
+    return _matching_times(m, tangle, 2 * cable, _cups(cable, BOTTOM | top))
 
 
 # ---------------------------------------------------------------------------
@@ -439,20 +448,11 @@ def _projector_trace(m: PlanarMatching, cable: int) -> LaurentPoly:
 
 def _projected_bracket(knot, cable: int) -> LaurentPoly:
     """Kauffman bracket of the cable with a projector on each bottom
-    bundle, and on each bundle of every seam that _seam_masks gates.  The
-    cable of a knot is one band, so the projector of one bundle slides
-    round to the other, and a projector is idempotent: two give the
-    bracket with one inserted."""
+    bundle and on each bundle of every seam that _seam_masks gates (see
+    the module docstring): one _row step per tangle, then the closure."""
     element = TLElement.identity(2 * cable)
     for runs, top in zip(knot.twist_runs, _seam_masks(knot.fractions)):
-        (_, count, sense), *rest = runs
-        if rest or count > 1:
-            tangle = tangle_element(runs, cable, top)
-            element = tl_multiply(element, tangle, cable, BOTTOM | top)
-        else:  # a single crossing (a pretzel entry +-1) is stacked in place
-            word = _block_word(cable)
-            element = _times_word(element, word, over_diagonal(sense), cable)
-            element = _drop_killed(element, cable, top)
+        element = _sum_rows(element, 2 * cable, _row, tuple(runs), cable, top)
     _, denom = jw_projector(cable)
     total = {}
     for m, c in element.terms.items():

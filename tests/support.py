@@ -20,6 +20,8 @@ earlier case rule for knot against link: both are second routes to
 ``knots.tangle_sum_parity``.  ``theta`` is the closed form of the theta
 network, with ``InadmissibleTriple`` for colours that cannot meet; the
 state sum has no trivalent vertices, so no library code needs them.
+``torus_2k_bracket`` is the closed form of the projected bracket of the
+torus knot T(2, k), a whole-polynomial witness for single crossings.
 """
 import json
 import re
@@ -200,6 +202,20 @@ def colored_jones_one_projector(knot, n: int) -> LaurentPoly:
     bracket = markov_closure(element).exact_div(denom)
     framing = LaurentPoly.term(1 if cable % 2 == 0 else -1, -knot.writhe * (n * n - 1))
     return framing * bracket
+
+
+def torus_2k_bracket(k: int, cable: int) -> LaurentPoly:
+    """The projected bracket (``tl._projected_bracket``) of p:1,...,1
+    with k ones, the torus knot T(2, k), or of its mirror p:-1,...,-1
+    for k < 0: the fusion of two cable-coloured strands (Kauffman-Lins
+    1994), the sum over i = 0..c of Delta_j (-1)^(ik) v^(-k e_i), where
+    j = 2c - 2i and e_i = (j(j + 2) - 2c(c + 2)) / 2."""
+    total = LaurentPoly.zero()
+    for i in range(cable + 1):
+        j = 2 * cable - 2 * i
+        e = (j * (j + 2) - 2 * cable * (cable + 2)) // 2
+        total = total + delta_n(j) * LaurentPoly.term((-1) ** (i * k), -k * e)
+    return total
 
 
 def _routing(runs) -> tuple:

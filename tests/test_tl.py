@@ -22,9 +22,12 @@ from slopelab.tl import (
     _cups,
     _drop_killed,
     _killed,
+    _matching_times,
+    _projected_bracket,
     _projector_trace,
     _seam_masks,
     _stack,
+    _sum_rows,
     _times_word,
     colored_jones,
     crossing_block,
@@ -49,6 +52,7 @@ from support import (
     rotate,
     seam_masks_by_routing,
     theta,
+    torus_2k_bracket,
 )
 
 
@@ -589,13 +593,20 @@ def test_kernels_drop_killed_terms(cable):
     # filtered kernels are checked on inputs that are not filtered yet.
     rng = random.Random(70 + cable)
     width = 2 * cable
+    cups = _cups(cable, BOTTOM)
     for _ in range(3):
         x = _random_element(rng, width)
         for y in (_random_element(rng, width), tangle_element([("v", 2, 1)], cable)):
             plain = tl_multiply(x, y)
             assert plain == _glued_product(x, y)
-            assert tl_multiply(x, y, 0) == plain
-            assert tl_multiply(x, y, cable) == _drop_projector_cups(plain, cable)
+            # the row of one matching with cups is the filtered product
+            for m in x.terms:
+                single = TLElement(width, width, {m: LaurentPoly.one()})
+                row = _matching_times(m, y, width, cups)
+                rows = TLElement(width, width, {k: LaurentPoly(c) for k, c in row.items()})
+                assert rows == _drop_projector_cups(tl_multiply(single, y), cable)
+            filtered = _sum_rows(x, width, _matching_times, y, width, cups)
+            assert filtered == _drop_projector_cups(plain, cable)
         words = [_random_word(rng, width, 6), _block_word(cable), 2 * _block_word(cable)]
         for word in words:
             for over_diag in (0, 1):
@@ -604,8 +615,9 @@ def test_kernels_drop_killed_terms(cable):
                     plain = tl_multiply(plain, _dense_generator(width, i, over_diag))
                 assert _times_word(x, word, over_diag) == plain
                 assert _times_word(x, word, over_diag, 0) == plain
+                assert _times_word(x, word, over_diag, cable) == plain
                 dropped = _drop_projector_cups(plain, cable)
-                assert _times_word(x, word, over_diag, cable) == dropped
+                assert _times_word(x, word, over_diag, cable, BOTTOM) == dropped
 
 
 @pytest.mark.parametrize("cable", [1, 2, 3])
@@ -941,22 +953,38 @@ def test_seam_masks_match_the_strand_trace():
     assert classes == set(ROUTE_OF_PARITY)
 
 
-@pytest.mark.parametrize("spec", ["m:-1/3,2/7,1/4", "p:-3,4,5"])
-def test_seam_projectors_need_the_routing_gate(monkeypatch, spec):
+@pytest.fixture
+def patch_tl(monkeypatch):
+    """monkeypatch.setattr on slopelab.tl with the row cache cleared
+    after each patch and at the end: a row cached before a patch of
+    tangle_element would bypass it, and one built under it must not
+    outlive the test."""
     import slopelab.tl as tl
 
+    rows = tl._row
+
+    def patch(name, value):
+        monkeypatch.setattr(tl, name, value)
+        rows.cache_clear()
+
+    yield patch
+    rows.cache_clear()
+
+
+@pytest.mark.parametrize("spec", ["m:-1/3,2/7,1/4", "p:-3,4,5"])
+def test_seam_projectors_need_the_routing_gate(patch_tl, spec):
     knot = parse_knot_spec(spec)
     reference = colored_jones_one_projector(knot, 3)
     assert 0 in _seam_masks(knot.fractions)
     assert colored_jones(knot, 3) == reference
     # every tangle sum read with an odd denominator: every seam carries
     # projectors
-    monkeypatch.setattr(tl, "tangle_sum_parity", lambda fractions: (1, 1))
+    patch_tl("tangle_sum_parity", lambda fractions: (1, 1))
     assert 0 not in _seam_masks(knot.fractions)
     assert colored_jones(knot, 3) != reference
 
 
-def test_seam_projectors_filter_one_side(monkeypatch):
+def test_seam_projectors_filter_one_side(patch_tl):
     import slopelab.tl as tl
 
     knot = parse_knot_spec("p:-3,3,3")
@@ -968,7 +996,7 @@ def test_seam_projectors_filter_one_side(monkeypatch):
         # also drop the tangle's bottom cups, on the seam below it
         return _drop_killed(assemble(runs, cable, mask), cable, BOTTOM | mask)
 
-    monkeypatch.setattr(tl, "tangle_element", both_sides)
+    patch_tl("tangle_element", both_sides)
     assert colored_jones(knot, 3) != reference
 
 
@@ -982,8 +1010,8 @@ def test_color_must_be_integer_valued():
 
 
 def test_twist_runs_shapes():
-    # _projected_bracket stacks a tangle in place only when it is a single
-    # crossing; that choice relies on these two recipe shapes.
+    # every recipe is a pretzel column (one vertical run) or the
+    # alternating runs of a Montesinos tangle
     for knot in _recipe_sweep(23, 80):
         for runs in knot.twist_runs:
             assert all(count >= 1 for _, count, _ in runs), knot.spec()
@@ -994,34 +1022,26 @@ def test_twist_runs_shapes():
                 assert len(axes) >= 2 and axes == "hv" * (len(axes) // 2), knot.spec()
 
 
-def test_projected_bracket_stacks_single_crossings_in_place(monkeypatch):
+def test_every_tangle_takes_the_row_path(patch_tl):
+    # single crossings (pretzel entries +-1) included: from a cold row
+    # cache, every recipe reaches tangle_element with its seam mask
     import slopelab.tl as tl
 
-    built, in_place = [], []
-    times_word, assemble = tl._times_word, tl.tangle_element
-
-    def spy_times_word(x, word, over_diag, cable=0, mask=BOTTOM):
-        if cable and mask & BOTTOM:  # the running element, not a tangle's
-            in_place.append(over_diag)
-        return times_word(x, word, over_diag, cable, mask)
+    built, assemble = set(), tl.tangle_element
 
     def spy_tangle_element(runs, cable, mask=0):
-        built.append(runs)
+        built.add((tuple(runs), mask))
         return assemble(runs, cable, mask)
 
-    monkeypatch.setattr(tl, "_times_word", spy_times_word)
-    monkeypatch.setattr(tl, "tangle_element", spy_tangle_element)
+    patch_tl("tangle_element", spy_tangle_element)
     singles = 0
     for knot in _recipe_sweep(29, 80):
-        runs = knot.twist_runs
-        # a Montesinos tangle has no pretzel entry: 0 stands in for it
-        entries = knot.q if isinstance(knot, PretzelKnot) else [0] * len(runs)
         built.clear()
-        in_place.clear()
+        tl._row.cache_clear()
         tl._projected_bracket(knot, 1)
-        assert in_place == [over_diagonal(q) for q in entries if abs(q) == 1], knot.spec()
-        assert built == [r for r, q in zip(runs, entries) if abs(q) != 1], knot.spec()
-        singles += len(in_place)
+        masks = _seam_masks(knot.fractions)
+        assert built == {(tuple(r), m) for r, m in zip(knot.twist_runs, masks)}, knot.spec()
+        singles += isinstance(knot, PretzelKnot) and sum(abs(q) == 1 for q in knot.q)
     assert singles
 
 
@@ -1041,7 +1061,7 @@ def test_tangle_cache_keys_on_the_seam_mask(runs):
     assert tangle_element(runs, 2, TOP) is tangle_element(tuple(runs), 2, TOP)
 
 
-def test_tangle_cache_shares_no_element_that_callers_change(monkeypatch):
+def test_tangle_cache_shares_no_element_that_callers_change(patch_tl):
     # After a sweep of state sums every cached element is still the
     # fresh assembly: no caller changed a shared element in place.  The
     # warm values equal the ones computed again from an empty cache.
@@ -1053,7 +1073,7 @@ def test_tangle_cache_shares_no_element_that_callers_change(monkeypatch):
         keys.add((tuple(runs), cable, mask))
         return assemble(runs, cable, mask)
 
-    monkeypatch.setattr(tl, "tangle_element", spy_tangle_element)
+    patch_tl("tangle_element", spy_tangle_element)
     knots = _recipe_sweep(37, 40)
     tl._assemble_tangle.cache_clear()
     warm = [colored_jones(knot, n) for n in (2, 3) for knot in knots]
@@ -1064,7 +1084,53 @@ def test_tangle_cache_shares_no_element_that_callers_change(monkeypatch):
         expected = _drop_killed(_dense_tangle(runs, cable), cable, mask)
         assert assemble(runs, cable, mask) == expected, (runs, cable, mask)
     tl._assemble_tangle.cache_clear()
+    tl._row.cache_clear()
     assert warm == [colored_jones(knot, n) for n in (2, 3) for knot in knots]
+
+
+def test_row_cache_shares_no_row_that_callers_change(patch_tl):
+    # After a sweep of state sums every cached row is still the fresh
+    # product: no caller changed a shared row in place.
+    import slopelab.tl as tl
+
+    rows, keys = tl._row, set()
+
+    def spy_row(*key):
+        keys.add(key)
+        return rows(*key)
+
+    patch_tl("_row", spy_row)
+    for knot in _recipe_sweep(37, 40):
+        for n in (2, 3):
+            colored_jones(knot, n)
+    info = rows.cache_info()
+    assert info.hits and info.currsize == len(keys)  # nothing evicted
+    for key in keys:
+        assert rows(*key) == rows.__wrapped__(*key), key
+
+
+@pytest.mark.parametrize("runs", [[("v", 3, 1)], [("h", 2, 1), ("v", 2, -1)]])
+def test_rows_key_on_the_seam_mask(runs):
+    # the row of the identity is the tangle itself, filtered on the
+    # bottom bundles and, on a gated seam, on the top ones
+    import slopelab.tl as tl
+
+    (ident,) = TLElement.identity(4).terms
+    rows = {top: tl._row(ident, tuple(runs), 2, top) for top in (TOP, 0)}
+    assert rows[TOP] != rows[0]
+    for top, row in rows.items():
+        assert row == tl._row.__wrapped__(ident, tuple(runs), 2, top)
+        tangle = _drop_killed(_dense_tangle(runs, 2), 2, BOTTOM | top)
+        assert row == {m: c.coeffs for m, c in tangle.terms.items()}
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_torus_knots_match_the_closed_form(k):
+    # p:1,...,1 with k ones is T(2, k): every tangle a single crossing
+    for cable in (1, 2, 3, 4) if k == 3 else (1, 2, 3):
+        for sense in (1, -1):
+            knot = PretzelKnot((sense,) * k)
+            assert _projected_bracket(knot, cable) == torus_2k_bracket(sense * k, cable)
 
 
 def test_worked_example_spans():

@@ -371,6 +371,20 @@ def test_cli_parser_is_built_once_and_carries_nothing_over(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_cli_scan_tangle_counts_match_the_help(capsys):
+    # a sweep takes even tangle counts only, --exceptional any positive
+    # one, and the help says so
+    assert cli.main(["scan", "--m", "3", "--q0-min", "-5", "--qi-max", "5"]) == 2
+    assert "tangle count 3 must be even" in capsys.readouterr().err
+    assert cli.main(["scan", "--exceptional", "--m", "3"]) == 0
+    assert "degenerate twist vectors" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "even (default 2), or any positive with --exceptional" in text
+
+
 def test_cli_scan_exits_1_on_a_failed_report(monkeypatch, capsys):
     passing = verify("p:-3,3,3", oracle_colors=())
     failing = dataclasses.replace(passing, reasons=("forced failure",))
