@@ -38,7 +38,8 @@ class MontesinosCorrections:
     expansions of the tangle fractions and the writhes of the two
     standard diagrams.  ``slope_shift`` and ``euler_shift`` are the js
     and jx differences between the knot and its associated pretzel, set
-    by ``montesinos_corrections`` from ``tangle_reduction_total``.
+    by ``montesinos_corrections`` from ``tangle_reduction_total``, which
+    the knot record keeps as ``reduction_total``.
     """
 
     q0_prime: int
@@ -202,7 +203,7 @@ def montesinos_corrections(knot) -> MontesinosCorrections:
             "into a link, which has no writhe"
         )
     (e0, o0, t0), (sum_e, sum_o, sum_t) = _bracket_totals(data)
-    quad, lin = tangle_reduction_total(data)
+    quad, lin = knot.reduction_total
     shift = data.inherited + quad
     return MontesinosCorrections(
         q0_prime=data.qprime[0],

@@ -7,9 +7,10 @@ listed first.  ``normalize_reduced`` moves integer parts between
 tangles to reach that window without changing the total.
 
 Each knot object is also the record of its derived data: the
-associated pretzel, the standard diagram and its writhe, and for a
-Montesinos knot the degree corrections, are computed on first use and
-kept on the object.
+associated pretzel, the standard diagram and its writhe, the
+twist-reduction shift, the tight-state lattice minima that every
+colour's predicted degree reads, and for a Montesinos knot the degree
+corrections, are computed on first use and kept on the object.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from functools import cached_property
 from . import diagrams
 from .cfrac import even_length_cfe, eval_cfe
 from .errors import HypothesisViolation, MoreThanOneNegativeTangle, NotAKnot
-from .qip import integral
+from .qip import LatticeMinima, integral
 
 class _KnotRecord:
     """Derived data of a knot; every reader shares the one diagram."""
@@ -37,6 +38,18 @@ class _KnotRecord:
     @cached_property
     def writhe(self) -> int:
         return diagrams.writhe(self.diagram)
+
+    @cached_property
+    def reduction_total(self) -> tuple[int, int]:
+        """``degrees.tangle_reduction_total`` of the associated pretzel data."""
+        from . import degrees
+
+        return degrees.tangle_reduction_total(self.associated)
+
+    @cached_property
+    def tight_states(self) -> LatticeMinima:
+        """Lattice minima of the associated twist vector, shared by all colours."""
+        return LatticeMinima.of_twists(self.associated.q)
 
 
 @dataclass(frozen=True)
@@ -54,7 +67,7 @@ class PretzelKnot(_KnotRecord):
         if any(x == 0 for x in q):
             raise ValueError("twist counts must be nonzero")
 
-    @property
+    @cached_property
     def fractions(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(1, x) for x in self.q)
 

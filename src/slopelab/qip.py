@@ -8,10 +8,14 @@ the scaled simplex {x >= 0 integral, sum x_i = t}.  This module solves
 that inner problem exactly by the greedy marginal threshold (the t
 smallest per-coordinate marginals form every minimizer), certifies the
 result by an exchange condition, and records the quasi-linear
-structure of the minimizer as a function of t.  One solve at the
-largest total holds the minimum at every smaller t as a prefix sum of
-its sorted marginals, which gives the outer maximization over t.  The
-case analysis of the real relaxation lives in ``slopelab.degrees``.
+structure of the minimizer as a function of t.  One solve holds the
+minimum at every smaller t as a prefix sum of its sorted marginals,
+and the same threshold rule grows it past that total one marginal at
+a time, so ``LatticeMinima`` answers every total of one twist vector
+from a single ``lattice_min`` solve: the outer maximization over t at
+every cable size.  A knot record keeps one of these, so all colours of
+one knot share the solve.  The case analysis of the real relaxation
+lives in ``slopelab.degrees``.
 """
 from __future__ import annotations
 
@@ -144,32 +148,83 @@ def lattice_min(f: SeparableQuadratic, t: int) -> LatticeOptimum:
     return LatticeOptimum(x, f.value(x), graver_certificate(f, x, t))
 
 
+class LatticeMinima:
+    """The lattice minima S_t = min f over {x >= 0, sum x_i = t} of one
+    separable quadratic f, grown on demand.
+
+    S_t is the sum of the t smallest marginals.  The first total asked
+    costs one ``lattice_min`` solve; a larger one appends the next
+    smallest marginal of any coordinate, one at a time, which is the
+    greedy threshold rule again.  ``minimizer`` is a minimizer at the
+    largest total reached so far.  ``q`` is the twist vector whose
+    tight states f describes, set by ``of_twists``; ``maximize_degree``
+    reads it.
+    """
+
+    def __init__(self, f: SeparableQuadratic, q=None):
+        self.f = f
+        self.q = q
+        self._x: list[int] = []
+        self._sums: list[int] = []
+
+    @classmethod
+    def of_twists(cls, q) -> "LatticeMinima":
+        q = tuple(integral(v, "twist entry") for v in q)
+        if len(q) < 2:
+            raise ValueError(f"twist vector needs at least two entries: {q}")
+        if q[0] >= 0:
+            raise ValueError(f"leading twist entry must be negative: {q}")
+        if any(qi <= 1 for qi in q[1:]):
+            raise ValueError(f"positive-index twist entries must exceed 1: {q}")
+        rest = q[1:]
+        f = SeparableQuadratic(
+            tuple(qi - 1 for qi in rest), tuple(-2 + q[0] + qi for qi in rest)
+        )
+        return cls(f, q)
+
+    @property
+    def minimizer(self) -> tuple[int, ...]:
+        return tuple(self._x)
+
+    def upto(self, t: int) -> list[int]:
+        """S_0, ..., S_t."""
+        t = integral(t, "total")
+        if t < 0:
+            raise ValueError("total must be non-negative")
+        f, x, sums = self.f, self._x, self._sums
+        if not sums:
+            # Module global, looked up here, so a patched solver is the one called.
+            x[:] = lattice_min(f, t).minimizer
+            taken = sorted(
+                ai * (2 * k + 1) + bi
+                for ai, bi, xi in zip(f.a, f.b, x)
+                for k in range(xi)
+            )
+            sums[:] = accumulate(taken, initial=0)
+        while len(sums) <= t:
+            marginal, i = min(
+                (ai * (2 * xi + 1) + bi, i)
+                for i, (ai, bi, xi) in enumerate(zip(f.a, f.b, x))
+            )
+            x[i] += 1
+            sums.append(sums[-1] + marginal)
+        return sums[: t + 1]
+
+
 def maximize_degree(q, n: int) -> int:
     """Maximal tight-state degree over all totals t in 0..n.
 
     A tight state (k0; k1, ..., km) with k0 = t = k1 + ... + km has degree
     n(n+2) sum q - 2 [(q0+1) t^2 + sum (qi-1) ki^2 + sum (-2+q0+qi) ki + (m-1) n].
-    The minimum over k1..km at total t is the sum of the t smallest
-    marginals, and ``lattice_min`` at t = n takes the n smallest, so the
-    prefix sums of its sorted marginals give that minimum at every t.
+    The minimum over k1..km at total t is the lattice minimum S_t.
+    ``q`` is a twist vector, which gets its own ``LatticeMinima``, or
+    one built by ``LatticeMinima.of_twists`` and shared across cable
+    sizes, such as a knot's ``tight_states``.
     """
-    q = tuple(integral(v, "twist entry") for v in q)
+    minima = q if isinstance(q, LatticeMinima) else LatticeMinima.of_twists(q)
     n = integral(n, "cable size")
     if n < 0:
         raise ValueError("cable size must be non-negative")
-    if q[0] >= 0:
-        raise ValueError(f"leading twist entry must be negative: {q}")
-    if any(qi <= 1 for qi in q[1:]):
-        raise ValueError(f"positive-index twist entries must exceed 1: {q}")
-    q0, rest = q[0], q[1:]
-    f = SeparableQuadratic(
-        tuple(qi - 1 for qi in rest), tuple(-2 + q0 + qi for qi in rest)
-    )
-    x = lattice_min(f, n).minimizer
-    taken = sorted(
-        ai * (2 * k + 1) + bi for ai, bi, xi in zip(f.a, f.b, x) for k in range(xi)
-    )
-    inner = min(
-        (q0 + 1) * t * t + s for t, s in enumerate(accumulate(taken, initial=0))
-    )
-    return n * (n + 2) * sum(q) - 2 * (inner + (len(rest) - 1) * n)
+    q = minima.q
+    inner = min((q[0] + 1) * t * t + s for t, s in enumerate(minima.upto(n)))
+    return n * (n + 2) * sum(q) - 2 * (inner + (len(q) - 2) * n)

@@ -20,7 +20,6 @@ from .degrees import (
     DegreeQuadratic,
     montesinos_js_jx,
     pretzel_js_jx,
-    tangle_reduction_total,
 )
 # Kept as a module attribute: perfbench's tracer test checks that a name
 # bound here by ``from .diagrams import`` is wrapped where it is bound.
@@ -51,14 +50,19 @@ def predicted_min_degree(knot, color: int) -> int:
 
     Combines the diagram writhe with the lattice degree maximum of the
     underlying twist vector and, for general tangle fractions, the
-    inherited-state and twist-reduction shifts.
+    inherited-state and twist-reduction shifts.  The lattice minima and
+    the shifts live on the knot record, so every colour of one knot
+    shares one lattice solve.
     """
+    color = integral(color, "color")
+    if color < 1:
+        raise ValueError(f"color must be at least 1, got {color}")
     data = knot.associated
     n = color - 1
-    quad_shift, lin_shift = tangle_reduction_total(data)
+    quad_shift, lin_shift = knot.reduction_total
     return -(
         knot.writhe * (color * color - 1)
-        + maximize_degree(data.q, n)
+        + maximize_degree(knot.tight_states, n)
         + (data.inherited + quad_shift) * n * n
         + lin_shift * n
     )

@@ -42,6 +42,9 @@ def test_pretzel_basics():
         Fraction(1, 3),
         Fraction(1, 5),
     )
+    # part of the knot record: built once, and the record stays hashable
+    assert p.fractions is p.fractions
+    assert p == PretzelKnot((-7, 5, 7, 3, 5)) and hash(p) == hash(PretzelKnot(p.q))
     assert p.spec() == "p:-7,5,7,3,5"
     assert p.mirror().q == (7, -5, -7, -3, -5)
     assert p.mirror().mirror() == p

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from slopelab.qip import (
+    LatticeMinima,
     SeparableQuadratic,
     graver_certificate,
     lattice_min,
@@ -195,6 +196,58 @@ def test_maximize_degree_solves_once(monkeypatch):
     assert calls == [14]
 
 
+def test_lattice_minima_grow_from_one_solve():
+    """Past its one solve, ``LatticeMinima`` appends the next smallest
+    marginal: the grown minimizer is certified at every total, and each
+    S_t is the lattice minimum at t, below the solved total and above."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(deadline=None)
+    @hypothesis.given(
+        st.integers(1, 5).flatmap(
+            lambda m: st.tuples(
+                st.lists(st.integers(1, 9), min_size=m, max_size=m),
+                st.lists(st.integers(-20, 20), min_size=m, max_size=m),
+            )
+        ),
+        st.integers(0, 40),
+    )
+    def check(coefficients, first):
+        f = SeparableQuadratic(*coefficients)
+        minima = LatticeMinima(f)
+        for t in range(first, 41):
+            sums = minima.upto(t)
+            assert len(sums) == t + 1
+            assert sum(minima.minimizer) == t
+            assert graver_certificate(f, minima.minimizer, t)
+            assert f.value(minima.minimizer) == sums[t]
+        assert sums == [lattice_min(f, t).value for t in range(41)]
+        assert minima.upto(first) == sums[: first + 1]
+
+    check()
+
+
+def test_lattice_minima_solve_once(monkeypatch):
+    from slopelab import qip
+
+    calls = []
+
+    def counted(f, t):
+        calls.append(t)
+        return lattice_min(f, t)
+
+    monkeypatch.setattr(qip, "lattice_min", counted)
+    q = (-7, 5, 7, 3, 5)
+    minima = LatticeMinima.of_twists(q)
+    for n in (3, 14, 0, 9, 14, 20):
+        assert maximize_degree(minima, n) == scan_max_degree(q, n)
+    assert calls == [3]
+    for t in (-1, 2.5):
+        with pytest.raises(ValueError, match="total"):
+            minima.upto(t)
+
+
 def no_unit_move_lowers(f, x):
     for i, j in itertools.permutations(range(f.m), 2):
         if x[i] > 0:
@@ -234,6 +287,10 @@ def test_maximize_degree_validation():
     for q, n in [((-3.5, 3, 3), 2), ((-3, 3, 3), 2.5)]:
         with pytest.raises(ValueError):
             maximize_degree(q, n)
+    # A vector too short to have a positive-index entry is named.
+    for q in ((), (-3,)):
+        with pytest.raises(ValueError, match=r"twist vector .*: \("):
+            maximize_degree(q, 2)
 
 
 def test_degree_values_are_exact_ints():

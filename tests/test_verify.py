@@ -607,3 +607,97 @@ def test_verify_derives_the_knot_record_once(monkeypatch):
     assert corrected == [knot]
     # the knot's own diagram and, for the corrections, its associated pretzel's
     assert len(built) == 2
+
+
+@pytest.mark.parametrize("spec", ["p:-7,5,7,3,5", WORKED_SPEC])
+def test_all_colors_of_a_knot_share_one_lattice_solve(spec, monkeypatch):
+    import slopelab.degrees
+    import slopelab.qip
+
+    solved, reduced = [], []
+    solve = slopelab.qip.lattice_min
+    reduce = slopelab.degrees.tangle_reduction_total
+
+    def counting_solve(f, t):
+        solved.append(t)
+        return solve(f, t)
+
+    def counting_reduce(data):
+        reduced.append(data)
+        return reduce(data)
+
+    monkeypatch.setattr(slopelab.qip, "lattice_min", counting_solve)
+    monkeypatch.setattr(slopelab.degrees, "tangle_reduction_total", counting_reduce)
+    knot = parse_knot_spec(spec)
+    verify(knot, oracle_colors=())
+    degrees = [predicted_min_degree(knot, c) for c in range(2, 13)]
+    assert solved == [1]
+    assert reduced == [knot.associated]
+    monkeypatch.undo()
+    fresh = [predicted_min_degree(parse_knot_spec(spec), c) for c in range(2, 13)]
+    assert degrees == fresh
+
+
+def test_predicted_min_degree_checks_the_color():
+    knot = parse_knot_spec("p:-3,5,5")
+    for color in (2.5, "3", Fraction(5, 2), 0, -1):
+        with pytest.raises(ValueError, match="color"):
+            predicted_min_degree(knot, color)
+    assert predicted_min_degree(knot, 3.0) == predicted_min_degree(knot, 3)
+
+
+def test_predicted_degrees_do_not_depend_on_the_order_asked():
+    """One knot object asked for colours 1-40 in any order, with repeats,
+    answers as a fresh knot does at each colour."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    odd = st.integers(1, 5).map(lambda k: 2 * k + 1)
+    colors = st.lists(st.integers(1, 40), max_size=20).flatmap(
+        lambda extra: st.permutations(list(range(1, 41)) + extra)
+    )
+
+    def check(knot, order):
+        fresh = {
+            c: predicted_min_degree(parse_knot_spec(knot.spec()), c) for c in range(1, 41)
+        }
+        asked = [predicted_min_degree(knot, c) for c in order]
+        assert asked == [fresh[c] for c in order]
+
+    @hypothesis.settings(deadline=None, max_examples=20)
+    @hypothesis.given(
+        odd, st.sampled_from([2, 4]).flatmap(lambda m: st.lists(odd, min_size=m, max_size=m)), colors
+    )
+    def check_strict_pretzel(b0, rest, order):
+        check(PretzelKnot((-b0, *rest)), order)
+
+    @hypothesis.settings(deadline=None, max_examples=20)
+    @hypothesis.given(
+        st.integers(2, 9), st.lists(st.integers(2, 9), min_size=1, max_size=4), colors
+    )
+    def check_pretzel(b0, rest, order):
+        knot = PretzelKnot((-b0, *rest))
+        hypothesis.assume(knot.is_knot())
+        check(knot, order)
+
+    tail = st.integers(1, 5).flatmap(lambda d: st.integers(1, d).map(lambda k: Fraction(k, d)))
+
+    @hypothesis.settings(deadline=None, max_examples=20)
+    @hypothesis.given(
+        st.integers(2, 7),
+        tail,
+        st.lists(st.tuples(st.integers(2, 7), tail), min_size=2, max_size=4),
+        colors,
+    )
+    def check_montesinos(b0, x0, positives, order):
+        fractions = [-1 / (b0 + 1 - x0)] + [1 / (qi - 1 + x) for qi, x in positives]
+        try:
+            knot = MontesinosKnot.from_fractions(fractions)
+        except NotAKnot:
+            hypothesis.assume(False)
+        check(knot, order)
+
+    check_strict_pretzel()
+    check_pretzel()
+    check_montesinos()
+    # its associated pretzel p:-3,4,4 is a link
+    check(parse_knot_spec("m:-1/3,2/7,1/4"), [40, 3, 1, 40, 17, 2, 3, 1])
