@@ -226,5 +226,7 @@ def maximize_degree(q, n: int) -> int:
     if n < 0:
         raise ValueError("cable size must be non-negative")
     q = minima.q
+    if q is None:
+        raise ValueError("no twist vector: build the minima with LatticeMinima.of_twists")
     inner = min((q[0] + 1) * t * t + s for t, s in enumerate(minima.upto(n)))
     return n * (n + 2) * sum(q) - 2 * (inner + (len(q) - 2) * n)

@@ -39,13 +39,12 @@ The cable of a knot carries a Jones-Wenzl projector on each of its two
 bottom bundles: the cable is one band, so a projector slides along it,
 and two give the same bracket as one because a projector is idempotent.
 The running element is built bottom to top without them.  They kill a
-term with a cup inside either bottom bundle (bundle j holds points j*c
-.. (j+1)*c - 1 of the frame), and stacking on top never removes a
-bottom cup, so a row leaves such outputs out before any coefficient
-work.  The closure is one cached trace per surviving matching m, the
-closure of the two projectors stacked under m.  The crossing smoothing
-weights follow the diagrams' chirality, ``diagrams.over_diagonal``
-(see ``KAPPA`` and the tests).
+term with a cup inside either bottom bundle (see ``BOTTOM``), and
+stacking on top never removes a bottom cup, so a row leaves such outputs
+out before any coefficient work.  The closure is one cached trace per
+surviving matching m, the closure of the two projectors stacked under
+m.  The crossing smoothing weights follow the diagrams' chirality,
+``diagrams.over_diagonal`` (see ``KAPPA`` and the tests).
 
 The same pair of projectors may sit on a seam between tangles.  The
 seam above tangle T_i carries it when the tangles above route both
@@ -61,7 +60,9 @@ projector down through an element that is already filtered.  Inside a
 tangle, a cup in a bundle that no later run touches is permanent and
 is dropped at once: a vertical run acts on bundles 1 and 2 only, a
 horizontal run on 2 and 3, so a pretzel column drops top bundle 3 from
-its second block on.
+its second block on.  Each drop is one rule: ``_cups`` turns a bundle
+mask into the points i whose cup (i, i + 1) a projector kills, and each
+kernel takes that tuple.
 """
 from __future__ import annotations
 
@@ -191,16 +192,14 @@ def _cups(cable: int, mask: int) -> tuple:
 
 
 def _killed(m: PlanarMatching, cups: tuple) -> bool:
-    """Whether m has a cup inside a bundle of the mask that cups came
-    from, so that the projectors on those bundles kill it.  A cup inside
-    a bundle encloses one that joins neighbours, so only neighbours are
-    checked."""
+    """Whether m joins some i of cups to i + 1: a cup inside a bundle of
+    the mask, which the projectors on those bundles kill.  A cup inside a
+    bundle encloses one that joins neighbours, so neighbours suffice."""
     return any(m[i] == i + 1 for i in cups)
 
 
-def _drop_killed(x: TLElement, cable: int, mask: int) -> TLElement:
-    """x without the terms that _killed rejects for the bundles of mask."""
-    cups = _cups(cable, mask)
+def _drop_killed(x: TLElement, cups: tuple) -> TLElement:
+    """x without the terms that _killed rejects for cups."""
     return TLElement(x.a, x.b, {m: c for m, c in x.terms.items() if not _killed(m, cups)})
 
 
@@ -273,20 +272,18 @@ def markov_closure(x: TLElement) -> LaurentPoly:
 # crossing blocks and tangle assembly
 
 
-def _times_word(x: TLElement, word, over_diag: int, cable: int = 0, mask: int = 0) -> TLElement:
+def _times_word(x: TLElement, word, over_diag: int, cups: tuple = ()) -> TLElement:
     """Stack the braid generators v^k 1 + v^-k e_i for i in word on top
     of x, where k = KAPPA for over_diag 0 and -KAPPA otherwise, each as
     1 + v^-2k e_i; the factors v^k are one shift, at the wrap.  An e_i
-    target is copied on its first write, so no input dict changes.  With
-    cable > 0, the word touches no bundle of mask, so a cup inside one
-    is never undone: x's terms that _killed rejects are dropped, and so
-    is an e_i target that joins two points of one masked bundle, before
-    any coefficient work."""
+    target is copied on its first write, so no input dict changes.  The
+    word touches no bundle of cups (see _cups), so a cup inside one is
+    never undone: x's terms that _killed rejects are dropped first, then
+    each e_i target whose new pair is one of cups, before any coefficient
+    work.  As u and w lie outside those bundles, any other new pair inside
+    one would enclose a neighbour pair that the term already had."""
     k = KAPPA if over_diag == 0 else -KAPPA
     loop, down = LOOP.shift(-2 * k).coeffs, {-2 * k: 1}
-    cups = _cups(cable, mask)
-    # a masked point's bundle; every other point has a label of its own
-    bundle = [p // cable if cable and mask >> p // cable & 1 else -1 - p for p in range(x.a + x.b)]
     terms = {m: c.coeffs for m, c in x.terms.items() if not _killed(m, cups)}
     for i in word:
         # labels of the top points on strands i-1 and i (counted from the left)
@@ -300,7 +297,7 @@ def _times_word(x: TLElement, word, over_diag: int, cable: int = 0, mask: int = 
                 turned, weight = m, loop
             else:
                 a, b = m[u], m[w]
-                if bundle[a] == bundle[b]:
+                if (a - b == 1 and b in cups) or (b - a == 1 and a in cups):
                     continue  # a new cup inside one masked bundle
                 p = list(m)
                 p[a], p[b], p[u], p[w] = b, a, w, u
@@ -350,20 +347,17 @@ def _run_words(runs, cable: int):
 
 
 def _touched(word, cable: int) -> int:
-    """Bundle mask of the points that word's generators act on: generator
-    i acts on labels 4 cable - i and 4 cable - i - 1."""
+    """Bundle mask of the labels word acts on: 4 cable - i - 1 and 4 cable - i per generator i."""
     return sum({1 << (4 * cable - i - d) // cable for i in word for d in (0, 1)})
 
 
 def tangle_element(runs, cable: int, mask: int = 0) -> TLElement:
-    """Evaluate one tangle recipe at the given cable width.
-
-    mask selects top bundles that carry a projector on the seam above
-    the tangle (see _seam_masks): their cups are dropped once no later
-    run touches the bundle, and all of them after assembly.  Each
-    distinct (runs, cable, mask) is assembled once per process and the
-    element is shared, so callers must not change it.
-    """
+    """Evaluate one tangle recipe at the given cable width.  mask selects
+    top bundles that carry a projector on the seam above the tangle (see
+    _seam_masks): their cups are dropped once no later run touches the
+    bundle, and all of them after assembly.  Each distinct (runs, cable,
+    mask) is assembled once per process and shared: callers must not
+    change it."""
     return _assemble_tangle(tuple(runs), cable, mask)
 
 
@@ -376,8 +370,8 @@ def _assemble_tangle(runs: tuple, cable: int, mask: int) -> TLElement:
     for r, (word, over_diag) in enumerate(words):
         if word:
             busy = _touched([i for later, _ in words[r:] for i in later], cable)
-            element = _times_word(element, word, over_diag, cable, mask & ~busy)
-    return _drop_killed(element, cable, mask)
+            element = _times_word(element, word, over_diag, _cups(cable, mask & ~busy))
+    return _drop_killed(element, _cups(cable, mask))
 
 
 def _seam_masks(fractions) -> list:
@@ -388,10 +382,8 @@ def _seam_masks(fractions) -> list:
     return [TOP if tangle_sum_parity(fractions[i + 1 :])[1] else 0 for i in range(len(fractions))]
 
 
-ROW_CACHE_SIZE = 1024  # a verify pass over 62 knots builds 125 rows (0.2 MB)
-
-
-@lru_cache(maxsize=ROW_CACHE_SIZE)
+# A verify pass over 62 knots builds 125 rows (0.2 MB).
+@lru_cache(maxsize=1024)
 def _row(m: PlanarMatching, runs: tuple, cable: int, top: int) -> dict:
     """The row of matching m times one tangle, without the outputs that
     the projectors on the bottom bundles or, on a gated seam (top, see
@@ -444,6 +436,15 @@ def _projector_trace(m: PlanarMatching, cable: int) -> LaurentPoly:
     width = 2 * cable
     single = TLElement(width, width, {m: LaurentPoly.one()})
     return markov_closure(tl_multiply(tensor(proj, proj), single))
+
+
+CACHES = (_loop_power, crossing_block, _assemble_tangle, _row, jw_projector, _projector_trace)
+
+
+def clear_caches() -> None:
+    """Empty CACHES, every process-wide cache of this module."""
+    for cache in CACHES:
+        cache.cache_clear()
 
 
 def _projected_bracket(knot, cable: int) -> LaurentPoly:

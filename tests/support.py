@@ -22,6 +22,8 @@ network, with ``InadmissibleTriple`` for colours that cannot meet; the
 state sum has no trivalent vertices, so no library code needs them.
 ``torus_2k_bracket`` is the closed form of the projected bracket of the
 torus knot T(2, k), a whole-polynomial witness for single crossings.
+``cyclotomic_coefficients`` solves for Habiro's cyclotomic expansion,
+a witness that ties all colours of one knot together.
 """
 import json
 import re
@@ -216,6 +218,31 @@ def torus_2k_bracket(k: int, cable: int) -> LaurentPoly:
         e = (j * (j + 2) - 2 * cable * (cable + 2)) // 2
         total = total + delta_n(j) * LaurentPoly.term((-1) ** (i * k), -k * e)
     return total
+
+
+def cyclotomic_coefficients(polys, writhe: int) -> list:
+    """Habiro's cyclotomic coefficients a_0, a_1, ... of a knot, from
+    polys[n - 1] = colored_jones(knot, n) for n = 1, 2, ...  With q = v^4
+    and J'(n) = J(n) / [n], they solve, colour by colour,
+
+        J'(n) = sum over k < n of a_k prod_(j=1..k) (1 - q^(n+j)) (1 - q^(j-n)),
+
+    so colour n fixes a_(n-1) by one ``exact_div``, which raises
+    ArithmeticError when a coefficient of some colour is wrong.  J(n) is
+    first multiplied by (-1)^((n-1) w), w the diagram's writhe: the sign
+    that ROADMAP.md item 15 questions.  Without it the division fails at
+    n = 2 on each odd-writhe knot tried."""
+    coeffs = []
+    for n, poly in enumerate(polys, 1):
+        sign = LaurentPoly.term((-1) ** ((n - 1) * writhe))
+        rest = (sign * poly).exact_div(LaurentPoly({2 * (n - 1) - 4 * j: 1 for j in range(n)}))
+        prod = LaurentPoly.one()
+        for j, a in enumerate(coeffs, 1):
+            rest = rest - a * prod
+            prod = prod * (LaurentPoly.one() - LaurentPoly.term(1, 4 * (n + j)))
+            prod = prod * (LaurentPoly.one() - LaurentPoly.term(1, 4 * (j - n)))
+        coeffs.append(rest.exact_div(prod))
+    return coeffs
 
 
 def _routing(runs) -> tuple:

@@ -291,6 +291,10 @@ def test_maximize_degree_validation():
     for q in ((), (-3,)):
         with pytest.raises(ValueError, match=r"twist vector .*: \("):
             maximize_degree(q, 2)
+    # Minima built from a bare quadratic hold no twist vector to read.
+    bare = LatticeMinima(SeparableQuadratic((2, 4), (0, 2)))
+    with pytest.raises(ValueError, match="LatticeMinima.of_twists"):
+        maximize_degree(bare, 2)
 
 
 def test_degree_values_are_exact_ints():

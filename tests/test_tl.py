@@ -29,6 +29,7 @@ from slopelab.tl import (
     _stack,
     _sum_rows,
     _times_word,
+    _touched,
     colored_jones,
     crossing_block,
     delta_n,
@@ -47,6 +48,7 @@ from support import (
     _times_generator,
     colored_jones_one_projector,
     colored_jones_unknot,
+    cyclotomic_coefficients,
     mirror,
     parse_poly,
     rotate,
@@ -614,10 +616,40 @@ def test_kernels_drop_killed_terms(cable):
                 for i in word:
                     plain = tl_multiply(plain, _dense_generator(width, i, over_diag))
                 assert _times_word(x, word, over_diag) == plain
-                assert _times_word(x, word, over_diag, 0) == plain
-                assert _times_word(x, word, over_diag, cable) == plain
+                assert _times_word(x, word, over_diag, ()) == plain
                 dropped = _drop_projector_cups(plain, cable)
-                assert _times_word(x, word, over_diag, cable, BOTTOM) == dropped
+                assert _times_word(x, word, over_diag, cups) == dropped
+
+
+def _drop_bundle_pairs(x, cable, bundle):
+    """x without the matchings that pair two points of one bundle."""
+    inside = range(bundle * cable, (bundle + 1) * cable)
+    terms = {m: c for m, c in x.terms.items() if not any(m[p] in inside for p in inside)}
+    return TLElement(x.a, x.b, terms)
+
+
+@pytest.mark.parametrize("cable", [2, 3, 4])
+def test_times_word_drops_cups_of_an_untouched_top_bundle(cable):
+    # The mask that assembly passes under a vertical run: top bundle 3,
+    # which the vertical block word (bundles 1 and 2) never touches.  The
+    # dense product is the block word's on the element turned a quarter.
+    rng = random.Random(80 + cable)
+    cups = _cups(cable, 0b1000)
+    vertical = [i + cable for i in _block_word(cable)]
+    assert _touched(vertical, cable) == 0b0110
+    dropped_any = False
+    for _ in range(3):
+        x = _random_element(rng, 2 * cable)
+        for count in (1, 2):
+            for over_diag in (0, 1):
+                plain = rotate(x, cable)
+                for i in count * _block_word(cable):
+                    plain = tl_multiply(plain, _dense_generator(2 * cable, i, over_diag))
+                plain = rotate(plain, -cable)
+                dropped = _drop_bundle_pairs(plain, cable, 3)
+                assert _times_word(x, count * vertical, over_diag, cups) == dropped
+                dropped_any |= dropped != plain
+    assert dropped_any
 
 
 @pytest.mark.parametrize("cable", [1, 2, 3])
@@ -955,20 +987,18 @@ def test_seam_masks_match_the_strand_trace():
 
 @pytest.fixture
 def patch_tl(monkeypatch):
-    """monkeypatch.setattr on slopelab.tl with the row cache cleared
-    after each patch and at the end: a row cached before a patch of
+    """monkeypatch.setattr on slopelab.tl with every cache cleared after
+    each patch and at the end: a row cached before a patch of
     tangle_element would bypass it, and one built under it must not
     outlive the test."""
     import slopelab.tl as tl
 
-    rows = tl._row
-
     def patch(name, value):
         monkeypatch.setattr(tl, name, value)
-        rows.cache_clear()
+        tl.clear_caches()
 
     yield patch
-    rows.cache_clear()
+    tl.clear_caches()
 
 
 @pytest.mark.parametrize("spec", ["m:-1/3,2/7,1/4", "p:-3,4,5"])
@@ -994,7 +1024,7 @@ def test_seam_projectors_filter_one_side(patch_tl):
 
     def both_sides(runs, cable, mask=0):
         # also drop the tangle's bottom cups, on the seam below it
-        return _drop_killed(assemble(runs, cable, mask), cable, BOTTOM | mask)
+        return _drop_killed(assemble(runs, cable, mask), _cups(cable, BOTTOM | mask))
 
     patch_tl("tangle_element", both_sides)
     assert colored_jones(knot, 3) != reference
@@ -1037,7 +1067,7 @@ def test_every_tangle_takes_the_row_path(patch_tl):
     singles = 0
     for knot in _recipe_sweep(29, 80):
         built.clear()
-        tl._row.cache_clear()
+        tl.clear_caches()
         tl._projected_bracket(knot, 1)
         masks = _seam_masks(knot.fractions)
         assert built == {(tuple(r), m) for r, m in zip(knot.twist_runs, masks)}, knot.spec()
@@ -1056,57 +1086,58 @@ def test_tangle_cache_keys_on_the_seam_mask(runs):
     assert open_seam != closed_seam
     assert open_seam == fresh(tuple(runs), 2, TOP)
     assert closed_seam == fresh(tuple(runs), 2, 0) == _dense_tangle(runs, 2)
-    assert open_seam == _drop_killed(_dense_tangle(runs, 2), 2, TOP)
+    assert open_seam == _drop_killed(_dense_tangle(runs, 2), _cups(2, TOP))
     # a list recipe and its tuple share one entry
     assert tangle_element(runs, 2, TOP) is tangle_element(tuple(runs), 2, TOP)
 
 
-def test_tangle_cache_shares_no_element_that_callers_change(patch_tl):
-    # After a sweep of state sums every cached element is still the
-    # fresh assembly: no caller changed a shared element in place.  The
-    # warm values equal the ones computed again from an empty cache.
+def test_caches_share_no_value_that_callers_change(patch_tl):
+    # After a sweep of state sums every cached value is still what a
+    # fresh call returns: no caller changed a shared value in place.
     import slopelab.tl as tl
 
-    assemble, keys = tl.tangle_element, set()
+    keys = {cache.__name__: set() for cache in tl.CACHES}
 
-    def spy_tangle_element(runs, cable, mask=0):
-        keys.add((tuple(runs), cable, mask))
-        return assemble(runs, cable, mask)
+    def spy(cache):
+        def call(*key):
+            keys[cache.__name__].add(key)
+            return cache(*key)
 
-    patch_tl("tangle_element", spy_tangle_element)
-    knots = _recipe_sweep(37, 40)
-    tl._assemble_tangle.cache_clear()
-    warm = [colored_jones(knot, n) for n in (2, 3) for knot in knots]
-    info = tl._assemble_tangle.cache_info()
-    assert info.hits and info.currsize == len(keys)  # nothing evicted
-    assert {mask for _, _, mask in keys} == {0, TOP}
-    for runs, cable, mask in keys:
-        expected = _drop_killed(_dense_tangle(runs, cable), cable, mask)
-        assert assemble(runs, cable, mask) == expected, (runs, cable, mask)
-    tl._assemble_tangle.cache_clear()
-    tl._row.cache_clear()
-    assert warm == [colored_jones(knot, n) for n in (2, 3) for knot in knots]
+        return call
 
-
-def test_row_cache_shares_no_row_that_callers_change(patch_tl):
-    # After a sweep of state sums every cached row is still the fresh
-    # product: no caller changed a shared row in place.
-    import slopelab.tl as tl
-
-    rows, keys = tl._row, set()
-
-    def spy_row(*key):
-        keys.add(key)
-        return rows(*key)
-
-    patch_tl("_row", spy_row)
+    for cache in tl.CACHES:
+        patch_tl(cache.__name__, spy(cache))
     for knot in _recipe_sweep(37, 40):
         for n in (2, 3):
             colored_jones(knot, n)
-    info = rows.cache_info()
-    assert info.hits and info.currsize == len(keys)  # nothing evicted
-    for key in keys:
-        assert rows(*key) == rows.__wrapped__(*key), key
+    for cache in tl.CACHES:
+        info = cache.cache_info()
+        assert info.hits and info.currsize == len(keys[cache.__name__]), cache  # nothing evicted
+        for key in keys[cache.__name__]:
+            assert cache(*key) == cache.__wrapped__(*key), (cache, key)
+    # and each tangle is the dense assembly, filtered on its seam mask
+    assert {mask for _, _, mask in keys["_assemble_tangle"]} == {0, TOP}
+    for runs, cable, mask in keys["_assemble_tangle"]:
+        expected = _drop_killed(_dense_tangle(runs, cable), _cups(cable, mask))
+        assert tangle_element(runs, cable, mask) == expected, (runs, cable, mask)
+
+
+def test_every_cache_is_listed():
+    import slopelab.tl as tl
+
+    cached = [value for value in vars(tl).values() if hasattr(value, "cache_clear")]
+    assert set(cached) == set(tl.CACHES) and len(tl.CACHES) == len(set(tl.CACHES))
+
+
+def test_cold_caches_give_the_warm_polynomials():
+    import slopelab.tl as tl
+
+    knots = [parse_knot_spec(spec) for spec in ONE_PROJECTOR_SPECS[:9]]  # the jones_c4 knots
+    first = [colored_jones(knot, n) for n in (2, 3, 4) for knot in knots]
+    warm = [colored_jones(knot, n) for n in (2, 3, 4) for knot in knots]
+    tl.clear_caches()
+    assert all(cache.cache_info().currsize == 0 for cache in tl.CACHES)
+    assert [colored_jones(knot, n) for n in (2, 3, 4) for knot in knots] == warm == first
 
 
 @pytest.mark.parametrize("runs", [[("v", 3, 1)], [("h", 2, 1), ("v", 2, -1)]])
@@ -1120,7 +1151,7 @@ def test_rows_key_on_the_seam_mask(runs):
     assert rows[TOP] != rows[0]
     for top, row in rows.items():
         assert row == tl._row.__wrapped__(ident, tuple(runs), 2, top)
-        tangle = _drop_killed(_dense_tangle(runs, 2), 2, BOTTOM | top)
+        tangle = _drop_killed(_dense_tangle(runs, 2), _cups(2, BOTTOM | top))
         assert row == {m: c.coeffs for m, c in tangle.terms.items()}
 
 
@@ -1131,6 +1162,37 @@ def test_torus_knots_match_the_closed_form(k):
         for sense in (1, -1):
             knot = PretzelKnot((sense,) * k)
             assert _projected_bracket(knot, cable) == torus_2k_bracket(sense * k, cable)
+
+
+def test_cyclotomic_expansion_divides_at_every_color():
+    # Habiro: each colour fixes one cyclotomic coefficient by one exact
+    # division, so every colour of a knot is checked against the lower ones.
+    specs = [spec for spec, _ in FROZEN_COLOR4]
+    specs += [PretzelKnot((sense,) * k).spec() for k in (3, 5, 7) for sense in (1, -1)]
+    for spec in dict.fromkeys(specs):
+        knot = parse_knot_spec(spec)
+        polys = [colored_jones(knot, n) for n in range(1, 5)]
+        assert cyclotomic_coefficients(polys, knot.writhe)[0] == LaurentPoly.one(), spec
+    for knot in _recipe_sweep(41, 60):
+        cyclotomic_coefficients([colored_jones(knot, n) for n in (1, 2, 3)], knot.writhe)
+
+
+def test_cyclotomic_coefficients_of_the_trefoil():
+    knot = parse_knot_spec("p:1,1,1")
+    polys = [colored_jones(knot, n, color_cap=5) for n in range(1, 6)]
+    assert cyclotomic_coefficients(polys, knot.writhe) == [
+        LaurentPoly.term(1, 4 * k) for k in range(5)
+    ]
+    # the writhe is odd: without the sign correction colour 2 fails
+    with pytest.raises(ArithmeticError):
+        cyclotomic_coefficients(polys[:2], knot.writhe + 1)
+    # one coefficient of one colour changed; or J(n) moved by [n] q, so
+    # that only the cyclotomic division can fail
+    for n in (2, 3, 4, 5):
+        for change in (LaurentPoly.term(1, 8), quantum_int(n) * LaurentPoly.term(1, 4)):
+            bad = polys[: n - 1] + [polys[n - 1] + change] + polys[n:]
+            with pytest.raises(ArithmeticError):
+                cyclotomic_coefficients(bad, knot.writhe)
 
 
 def test_worked_example_spans():
