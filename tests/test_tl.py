@@ -1091,9 +1091,10 @@ def test_tangle_cache_keys_on_the_seam_mask(runs):
     assert tangle_element(runs, 2, TOP) is tangle_element(tuple(runs), 2, TOP)
 
 
-def test_caches_share_no_value_that_callers_change(patch_tl):
-    # After a sweep of state sums every cached value is still what a
-    # fresh call returns: no caller changed a shared value in place.
+def _spied_sweep(patch_tl):
+    """The keys each cache in tl.CACHES was called with over a sweep of
+    state sums, each cache spied through its module name; nothing may
+    have been evicted."""
     import slopelab.tl as tl
 
     keys = {cache.__name__: set() for cache in tl.CACHES}
@@ -1113,13 +1114,51 @@ def test_caches_share_no_value_that_callers_change(patch_tl):
     for cache in tl.CACHES:
         info = cache.cache_info()
         assert info.hits and info.currsize == len(keys[cache.__name__]), cache  # nothing evicted
+    return keys
+
+
+def test_caches_share_no_value_that_callers_change(patch_tl):
+    # After a sweep of state sums every cached value is still what a
+    # fresh call returns: no caller changed a shared value in place.
+    import slopelab.tl as tl
+
+    keys = _spied_sweep(patch_tl)
+    for cache in tl.CACHES:
         for key in keys[cache.__name__]:
             assert cache(*key) == cache.__wrapped__(*key), (cache, key)
-    # and each tangle is the dense assembly, filtered on its seam mask
-    assert {mask for _, _, mask in keys["_assemble_tangle"]} == {0, TOP}
-    for runs, cable, mask in keys["_assemble_tangle"]:
+
+
+def test_tangle_cache_shares_no_element_that_callers_change(patch_tl):
+    # After a sweep of state sums every cached tangle is still the dense
+    # assembly, filtered on its seam mask.  The warm values equal the
+    # ones computed again from empty caches.
+    import slopelab.tl as tl
+
+    keys = _spied_sweep(patch_tl)["_assemble_tangle"]
+    assert {mask for _, _, mask in keys} == {0, TOP}
+    for runs, cable, mask in keys:
         expected = _drop_killed(_dense_tangle(runs, cable), _cups(cable, mask))
         assert tangle_element(runs, cable, mask) == expected, (runs, cable, mask)
+    knots = _recipe_sweep(37, 40)
+    warm = [colored_jones(knot, n) for n in (2, 3) for knot in knots]
+    tl.clear_caches()
+    assert warm == [colored_jones(knot, n) for n in (2, 3) for knot in knots]
+
+
+def test_row_cache_shares_no_row_that_callers_change(patch_tl):
+    # After a sweep of state sums every cached row is still the dense
+    # product of its matching and the tangle, filtered on the bottom
+    # bundles and its seam mask.
+    import slopelab.tl as tl
+
+    keys = _spied_sweep(patch_tl)["_row"]
+    assert {top for *_, top in keys} == {0, TOP}
+    for m, runs, cable, top in keys:
+        single = TLElement(len(m) - 2 * cable, 2 * cable, {m: LaurentPoly.one()})
+        dense = tl_multiply(single, _dense_tangle(runs, cable))
+        expected = _drop_killed(dense, _cups(cable, BOTTOM | top))
+        row = tl._row(m, runs, cable, top)
+        assert row == {k: c.coeffs for k, c in expected.terms.items()}, (m, runs, cable, top)
 
 
 def test_every_cache_is_listed():
