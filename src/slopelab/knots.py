@@ -249,9 +249,9 @@ def parse_knot_spec(text: str):
         raise ValueError(f"knot spec {text!r} needs a 'p:' or 'm:' prefix")
     kind, _, body = text.partition(":")
     kind = kind.strip().lower()
-    parts = [p.strip() for p in body.split(",") if p.strip()]
-    if not parts:
-        raise ValueError(f"knot spec {text!r} lists no tangles")
+    parts = [p.strip() for p in body.split(",")]
+    if not all(p and not p.strip("+-0123456789/.") for p in parts):
+        raise ValueError(f"knot spec {text!r} has an empty or malformed entry")
     if kind == "p":
         try:
             q = tuple(int(p) for p in parts)

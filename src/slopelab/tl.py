@@ -32,8 +32,8 @@ horizontal run stacks its blocks' word on top; a vertical run is the
 same word on the points a quarter turn round, where a block's over
 diagonal flips.  Each tangle, a single crossing included, is assembled
 once per process for each (recipe, cable, seam mask).  The state sum
-takes one step per tangle: each term of the running element times the
-row of its matching with the tangle, cached once per process.
+takes one step per tangle but the last: each term of the running element
+times the row of its matching with the tangle, cached once per process.
 
 The cable of a knot carries a Jones-Wenzl projector on each of its two
 bottom bundles: the cable is one band, so a projector slides along it,
@@ -41,10 +41,10 @@ and two give the same bracket as one because a projector is idempotent.
 The running element is built bottom to top without them.  They kill a
 term with a cup inside either bottom bundle (see ``BOTTOM``), and
 stacking on top never removes a bottom cup, so a row leaves such outputs
-out before any coefficient work.  The closure is one cached trace per
-surviving matching m, the closure of the two projectors stacked under
-m.  The crossing smoothing weights follow the diagrams' chirality,
-``diagrams.over_diagonal`` (see ``KAPPA`` and the tests).
+out before any coefficient work.  The closure is linear, so the last
+tangle closes with it: each term times its matching's cached closed row,
+whose outputs o carry the cached closure of the projectors under o.  The
+smoothing weights follow ``diagrams.over_diagonal`` (see ``KAPPA``).
 
 The same pair of projectors may sit on a seam between tangles.  The
 seam above tangle T_i carries it when the tangles above route both
@@ -438,7 +438,20 @@ def _projector_trace(m: PlanarMatching, cable: int) -> LaurentPoly:
     return markov_closure(tl_multiply(tensor(proj, proj), single))
 
 
-CACHES = (_loop_power, crossing_block, _assemble_tangle, _row, jw_projector, _projector_trace)
+# One seed-1 verify_c3 pass closes 80 rows, a jones_c4 pass 16.
+@lru_cache(maxsize=1024)
+def _closed_row(m: PlanarMatching, runs: tuple, cable: int, top: int) -> dict:
+    """Raw sum of _row(m, runs, cable, top)'s coefficients times their
+    _projector_trace.  Shared: callers must not change it."""
+    total = {}
+    for o, c in _row(m, runs, cable, top).items():
+        addmul(total, c, _projector_trace(o, cable).coeffs)
+    return {e: v for e, v in total.items() if v}
+
+
+CACHES = (
+    _loop_power, crossing_block, _assemble_tangle, _row, jw_projector, _projector_trace, _closed_row
+)
 
 
 def clear_caches() -> None:
@@ -449,15 +462,17 @@ def clear_caches() -> None:
 
 def _projected_bracket(knot, cable: int) -> LaurentPoly:
     """Kauffman bracket of the cable with a projector on each bottom
-    bundle and on each bundle of every seam that _seam_masks gates (see
-    the module docstring): one _row step per tangle, then the closure."""
+    bundle and each bundle of every seam that _seam_masks gates: one _row
+    step per tangle but the last, which each term closes by _closed_row."""
     element = TLElement.identity(2 * cable)
-    for runs, top in zip(knot.twist_runs, _seam_masks(knot.fractions)):
-        element = _sum_rows(element, 2 * cable, _row, tuple(runs), cable, top)
-    _, denom = jw_projector(cable)
+    masks = _seam_masks(knot.fractions)
+    *steps, last = [(tuple(runs), cable, top) for runs, top in zip(knot.twist_runs, masks)]
+    for step in steps:
+        element = _sum_rows(element, 2 * cable, _row, *step)
     total = {}
     for m, c in element.terms.items():
-        addmul(total, c.coeffs, _projector_trace(m, cable).coeffs)
+        addmul(total, c.coeffs, _closed_row(m, *last))
+    _, denom = jw_projector(cable)
     return LaurentPoly(total).exact_div(denom * denom)
 
 

@@ -23,8 +23,10 @@ state sum has no trivalent vertices, so no library code needs them.
 ``torus_2k_bracket`` is the closed form of the projected bracket of the
 torus knot T(2, k), a whole-polynomial witness for single crossings.
 ``cyclotomic_coefficients`` solves for Habiro's cyclotomic expansion,
-a witness that ties all colours of one knot together.
+a witness that ties all colours of one knot together.  ``tight_ties``
+counts the tight states of top degree by enumeration.
 """
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -393,3 +395,18 @@ def ladder_search(band: int, sheets: int, q0: int):
             ladder_q = candidate
             break
     return ladder_q
+
+
+def tight_ties(q, n: int) -> int:
+    """The number of tight states (k1, ..., km), each ki >= 0 with
+    t = k1 + ... + km <= n, that maximize
+    -(q0 + 1) t^2 - sum((qi - 1) ki^2 + (qi + q0 - 2) ki): the states of
+    top degree in ``qip.maximize_degree``, counted by enumeration."""
+    q0, rest = q[0], q[1:]
+    values = [
+        -(q0 + 1) * sum(ks) ** 2
+        - sum((qi - 1) * k * k + (qi + q0 - 2) * k for qi, k in zip(rest, ks))
+        for ks in itertools.product(range(n + 1), repeat=len(rest))
+        if sum(ks) <= n
+    ]
+    return values.count(max(values))

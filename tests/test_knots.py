@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -285,6 +286,36 @@ def test_parse_knot_spec_round_trips():
 def test_parse_knot_spec_rejects(text):
     with pytest.raises(ValueError):
         parse_knot_spec(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p:-3,,5,5",  # an empty entry
+        "p:-3,5,5,",
+        "p:,-3,5,5",
+        "m:-1/3,,2/7,1/4",
+        "p:-3,5,1_5",  # int() would read 15
+        "m:-1/3,2/7,1_0/4_1",
+        "p:\u0661,1,1",  # an Arabic-Indic digit one, which int() reads as 1
+        "p:-3,5,\uff15",  # a fullwidth five
+        "p:-3,5\u00a0 5,5",  # an inner no-break space
+        "m:-1/3,2 / 7,1/4",
+        "p:-3,5,5e0",
+    ],
+)
+def test_parse_knot_spec_rejects_malformed_entries(text):
+    # refused with the spec named, whether or not int() or Fraction()
+    # alone would read the entry
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        parse_knot_spec(text)
+
+
+def test_parse_knot_spec_strips_whitespace_round_entries():
+    assert parse_knot_spec("p: -3 ,\t5 , 5 ") == PretzelKnot((-3, 5, 5))
+    assert parse_knot_spec("m: -1/3 , 2/7,1/4 ") == parse_knot_spec("m:-1/3,2/7,1/4")
+    assert parse_knot_spec("p:+3,-1,-1") == PretzelKnot((3, -1, -1))
+    assert parse_knot_spec("m:-0.5,1/3,2/3") == parse_knot_spec("m:-1/2,1/3,2/3")
 
 
 def test_require_knot():

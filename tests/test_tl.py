@@ -8,8 +8,14 @@ import pytest
 
 import slopelab
 from slopelab.degrees import montesinos_js_jx
-from slopelab.errors import ColorTooLarge, SlopelabError
-from slopelab.knots import MontesinosKnot, PretzelKnot, parse_knot_spec, tangle_sum_parity
+from slopelab.errors import ColorTooLarge, HypothesisViolation, SlopelabError
+from slopelab.knots import (
+    MontesinosKnot,
+    PretzelKnot,
+    check_strict_pretzel,
+    parse_knot_spec,
+    tangle_sum_parity,
+)
 from slopelab.laurent import LaurentPoly
 from slopelab.tl import (
     BOTTOM,
@@ -19,6 +25,7 @@ from slopelab.tl import (
     TLElement,
     TOP,
     _block_word,
+    _closed_row,
     _cups,
     _drop_killed,
     _killed,
@@ -54,6 +61,7 @@ from support import (
     rotate,
     seam_masks_by_routing,
     theta,
+    tight_ties,
     torus_2k_bracket,
 )
 
@@ -925,6 +933,43 @@ def test_colored_jones_matches_one_projector_closure_sweep():
             assert colored_jones(knot, n) == colored_jones_one_projector(knot, n), knot.spec()
 
 
+def _twists(knot):
+    """The associated twist vector; a pretzel is its own, +-1 entries included."""
+    return knot.q if isinstance(knot, PretzelKnot) else knot.associated.q
+
+
+def _is_strict(knot):
+    try:
+        check_strict_pretzel(_twists(knot))
+    except HypothesisViolation:
+        return False
+    return True
+
+
+def test_lowest_coefficient_counts_the_tight_states():
+    # The paper's non-cancellation step, read off the whole sum: on strict
+    # knots the lowest coefficient of J_(n+1) is +-1 per tight state of top
+    # degree, with no cancellation among them.
+    fixed = dict.fromkeys([spec for spec, _ in FROZEN_COLOR4] + ONE_PROJECTOR_SPECS[:9])
+    strict = [knot for knot in map(parse_knot_spec, fixed) if _is_strict(knot)]
+    assert [knot.spec() for knot in strict] == ["p:-3,3,3"]
+    sweep = _strict_sweep(43, 40)
+    assert all(map(_is_strict, sweep))
+    pairs = ties = 0
+    for knot in strict + sweep:
+        crossings = sum(count for runs in knot.twist_runs for _, count, _ in runs)
+        for color in (2, 3, 4) if crossings <= 14 else (2, 3):
+            poly = colored_jones(knot, color)
+            lowest = abs(poly.coeffs[poly.min_degree()])
+            assert lowest == tight_ties(_twists(knot), color - 1), (knot.spec(), color)
+            pairs, ties = pairs + 1, ties + (lowest > 1)
+    assert pairs >= 80 and ties
+    # Outside the hypotheses the count can miss: here two top states cancel.
+    knot = parse_knot_spec("m:-1/2,1/3,2/3")
+    poly = colored_jones(knot, 3)
+    assert (poly.coeffs[poly.min_degree()], tight_ties(_twists(knot), 2)) == (-1, 2)
+
+
 def _recipe_sweep(seed, count):
     """count distinct seeded knots of any kind: half pretzels with
     twists in -5..5 (so entries +-1 occur), half Montesinos knots with
@@ -1159,6 +1204,40 @@ def test_row_cache_shares_no_row_that_callers_change(patch_tl):
         expected = _drop_killed(dense, _cups(cable, BOTTOM | top))
         row = tl._row(m, runs, cable, top)
         assert row == {k: c.coeffs for k, c in expected.terms.items()}, (m, runs, cable, top)
+
+
+def _dense_closed_rows(keys):
+    """Per closed-row key (m, runs, cable, top): the closure of the two
+    projectors under the single matching m under the dense tangle, its
+    top cups dropped on the mask, as raw coefficients."""
+    tangles, projectors, closed = {}, {}, {}
+    for m, runs, cable, top in keys:
+        if cable not in projectors:
+            proj, _ = jw_projector(cable)
+            projectors[cable] = tensor(proj, proj)
+        if (runs, cable) not in tangles:
+            tangles[runs, cable] = _dense_tangle(runs, cable)
+        tangle = _drop_killed(tangles[runs, cable], _cups(cable, top))
+        single = TLElement(2 * cable, 2 * cable, {m: LaurentPoly.one()})
+        element = tl_multiply(projectors[cable], tl_multiply(single, tangle))
+        closed[m, runs, cable, top] = markov_closure(element).coeffs
+    return closed
+
+
+def test_closed_rows_match_the_dense_closure(patch_tl):
+    # Every closed row cached over a sweep of state sums at cables 1-2,
+    # and over the jones_c4 knots at cable 3, is the dense closure
+    # through its tangle.  The last tangle's seam is the closure's, which
+    # always carries the projectors, so every closed row keys on TOP.
+    keys = _spied_sweep(patch_tl)["_closed_row"]  # the spies still record
+    assert {cable for _, _, cable, _ in keys} == {1, 2}
+    for spec in ONE_PROJECTOR_SPECS[:9]:  # the jones_c4 knots
+        colored_jones(parse_knot_spec(spec), 4)
+    assert {cable for _, _, cable, _ in keys} == {1, 2, 3}
+    assert {top for *_, top in keys} == {TOP}
+    assert _closed_row.cache_info().currsize == len(keys)
+    for key, expected in _dense_closed_rows(keys).items():
+        assert _closed_row(*key) == expected, key
 
 
 def test_every_cache_is_listed():

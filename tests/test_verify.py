@@ -283,6 +283,13 @@ def test_cli_error_exits(capsys):
     assert err.count("error:") == 4
 
 
+@pytest.mark.parametrize("spec", ["p:-3,,5,5", "p:-3,5,1_5"])
+def test_cli_malformed_spec_exits_2(spec, capsys):
+    assert cli.main(["verify", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 1 and spec in captured.err
+
+
 @pytest.mark.parametrize("spec", ["p:1,1,1", "p:-3,-1,1"])
 def test_cli_verify_checks_pretzel_hypotheses_first(spec, capsys):
     # The +-1 entries fail the pretzel hypotheses before the associated
