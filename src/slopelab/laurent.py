@@ -107,14 +107,14 @@ class LaurentPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers are not defined here")
-        result = LaurentPoly.one()
-        base = self
+        result, base = None, self  # no product with one, no square past the top bit
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return LaurentPoly.one() if result is None else result
 
     def shift(self, k):
         """Multiply by v^k."""
@@ -127,28 +127,28 @@ class LaurentPoly:
         return min(self.coeffs)
 
     def exact_div(self, other):
-        """Divide by ``other``, raising ArithmeticError unless exact."""
+        """Divide by ``other`` in one pass from the top, raising ArithmeticError unless exact."""
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
         if not self:
-            return LaurentPoly({})
-        rem = dict(self.coeffs)
-        quot = {}
+            return LaurentPoly.zero()
         dtop = other.degree()
         dlead = other.coeffs[dtop]
-        floor = self.min_degree() - other.min_degree()
-        while rem:
-            rtop = max(rem)
-            c, r = divmod(rem[rtop], dlead)
-            e = rtop - dtop
-            if r or e < floor:
-                raise ArithmeticError("division is not exact")
-            quot[e] = c
-            for d, a in other.coeffs.items():  # rem -= c v^e other, in place
-                s = rem.pop(d + e, 0) - c * a
-                if s:
-                    rem[d + e] = s
-        return LaurentPoly(quot)
+        lower = [(d - dtop, a) for d, a in other.coeffs.items() if d != dtop]
+        rem = dict(self.coeffs)
+        get, quot = rem.get, {}
+        for e in range(self.degree(), self.min_degree() - other.min_degree() + dtop - 1, -1):
+            c = rem.pop(e, 0)  # the remainder's top coefficient, or 0
+            if c:
+                c, r = divmod(c, dlead)
+                if r:
+                    raise ArithmeticError("division is not exact")
+                quot[e - dtop] = c
+                for d, a in lower:  # rem -= c v^(e - dtop) other, its top popped
+                    rem[e + d] = get(e + d, 0) - c * a
+        if any(rem.values()):
+            raise ArithmeticError("division is not exact")
+        return LaurentPoly.wrap(quot)
 
     def __str__(self):
         return format_poly(self)

@@ -43,7 +43,8 @@ term with a cup inside either bottom bundle (see ``BOTTOM``), and
 stacking on top never removes a bottom cup, so a row leaves such outputs
 out before any coefficient work.  The closure is linear, so the last
 tangle closes with it: each term times its matching's cached closed row,
-whose outputs o carry the cached closure of the projectors under o.  The
+whose outputs o carry the cached closure of the projectors under o over
+one of their two denominators D; the sum divides by the other.  The
 smoothing weights follow ``diagrams.over_diagonal`` (see ``KAPPA``).
 
 The same pair of projectors may sit on a seam between tangles.  The
@@ -429,29 +430,36 @@ def jw_projector(n: int) -> tuple[TLElement, LaurentPoly]:
 
 
 @lru_cache(maxsize=None)
-def _projector_trace(m: PlanarMatching, cable: int) -> LaurentPoly:
-    """Closure of tensor(P, P) stacked under the single matching m,
-    where P is jw_projector(cable)'s numerator."""
+def _projector_pair(cable: int) -> TLElement:
+    """tensor(P, P) for jw_projector(cable)'s numerator P.  Shared: callers must not change it."""
     proj, _ = jw_projector(cable)
+    return tensor(proj, proj)
+
+
+@lru_cache(maxsize=None)
+def _projector_trace(m: PlanarMatching, cable: int) -> LaurentPoly:
+    """Closure of _projector_pair(cable) under the single matching m, divided
+    by jw_projector(cable)'s denominator D: 0 or D Δ_c²/Δ_k (k pairs join the
+    bottom bundles), exact since D_c = D_(c-1)² Δ_(c-1) holds each Δ_k, k < c."""
     width = 2 * cable
     single = TLElement(width, width, {m: LaurentPoly.one()})
-    return markov_closure(tl_multiply(tensor(proj, proj), single))
+    closure = markov_closure(tl_multiply(_projector_pair(cable), single))
+    return closure.exact_div(jw_projector(cable)[1])
 
 
 # One seed-1 verify_c3 pass closes 80 rows, a jones_c4 pass 16.
 @lru_cache(maxsize=1024)
 def _closed_row(m: PlanarMatching, runs: tuple, cable: int, top: int) -> dict:
     """Raw sum of _row(m, runs, cable, top)'s coefficients times their
-    _projector_trace.  Shared: callers must not change it."""
+    _projector_trace (one D short).  Shared: callers must not change it."""
     total = {}
     for o, c in _row(m, runs, cable, top).items():
         addmul(total, c, _projector_trace(o, cable).coeffs)
     return {e: v for e, v in total.items() if v}
 
 
-CACHES = (
-    _loop_power, crossing_block, _assemble_tangle, _row, jw_projector, _projector_trace, _closed_row
-)
+CACHES = (_loop_power, crossing_block, _assemble_tangle, _row, jw_projector, _projector_pair,
+          _projector_trace, _closed_row)
 
 
 def clear_caches() -> None:
@@ -463,7 +471,8 @@ def clear_caches() -> None:
 def _projected_bracket(knot, cable: int) -> LaurentPoly:
     """Kauffman bracket of the cable with a projector on each bottom
     bundle and each bundle of every seam that _seam_masks gates: one _row
-    step per tangle but the last, which each term closes by _closed_row."""
+    step per tangle but the last, which each term closes by _closed_row.
+    The traces hold one D of the projectors' D²; one division sheds the other."""
     element = TLElement.identity(2 * cable)
     masks = _seam_masks(knot.fractions)
     *steps, last = [(tuple(runs), cable, top) for runs, top in zip(knot.twist_runs, masks)]
@@ -472,8 +481,8 @@ def _projected_bracket(knot, cable: int) -> LaurentPoly:
     total = {}
     for m, c in element.terms.items():
         addmul(total, c.coeffs, _closed_row(m, *last))
-    _, denom = jw_projector(cable)
-    return LaurentPoly(total).exact_div(denom * denom)
+    bracket = LaurentPoly.wrap({e: v for e, v in total.items() if v})
+    return bracket.exact_div(jw_projector(cable)[1])
 
 
 def colored_jones(knot, n: int, color_cap: int = DEFAULT_COLOR_CAP) -> LaurentPoly:

@@ -72,6 +72,29 @@ def test_pow_matches_repeated_mul():
     assert a**3 == a * a * a
 
 
+def test_pow_makes_one_product_per_square_and_per_set_bit(monkeypatch):
+    # square-and-multiply with no product by one and no square past the
+    # top bit: n.bit_length() - 1 squares and popcount(n) - 1 products
+    a = P({3: 2, 0: -1, -2: 1})
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def spy(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    for n in range(9):
+        expected = LaurentPoly.one()
+        for _ in range(n):
+            expected = mul(expected, a)
+        calls.clear()
+        monkeypatch.setattr(LaurentPoly, "__mul__", spy)
+        power = a**n
+        monkeypatch.setattr(LaurentPoly, "__mul__", mul)
+        assert power == expected, n
+        assert len(calls) == max(n.bit_length() + bin(n).count("1") - 2, 0), n
+
+
 def test_mirror_involution():
     p = P({18: 1, 10: -1, 6: -1, 2: -1})
     assert mirror(p) == P({-18: 1, -10: -1, -6: -1, -2: -1})
@@ -107,6 +130,41 @@ def test_long_division_leaves_operands_unchanged():
     with pytest.raises(ArithmeticError):
         (prod + P({-50: 1})).exact_div(P({0: 1, -1: 1}))
     assert prod.coeffs == before
+
+
+def test_exact_division_property():
+    # a quotient with negative exponents, an exponent stride of 1-4 and
+    # any leading coefficient round-trips.  A monomial is a multiple of a
+    # divisor of two or more terms only when it is zero, so one more
+    # monomial at the top, in the middle or below the degree floor makes
+    # the division inexact.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.integers(-9, 9).filter(bool)
+
+    def poly(stride, least, size):
+        exps = st.lists(st.integers(-12, 12), min_size=least, max_size=size, unique=True)
+        return st.builds(
+            lambda es, cs: P({stride * e: c for e, c in zip(es, cs)}),
+            exps, st.lists(coeff, min_size=size, max_size=size),
+        )
+
+    cases = st.integers(1, 4).flatmap(lambda s: st.tuples(poly(s, 1, 8), poly(s, 2, 5)))
+
+    @hypothesis.settings(deadline=None, max_examples=300)
+    @hypothesis.given(cases, coeff, st.integers(1, 3))
+    def check(pair, extra, gap):
+        a, b = pair
+        prod = a * b
+        before = (dict(a.coeffs), dict(b.coeffs), dict(prod.coeffs))
+        assert prod.exact_div(b) == a
+        lo, hi = prod.min_degree(), prod.degree()
+        for e in (hi + gap, (lo + hi) // 2, lo - gap):
+            with pytest.raises(ArithmeticError):
+                (prod + P({e: extra})).exact_div(b)
+        assert (dict(a.coeffs), dict(b.coeffs), dict(prod.coeffs)) == before
+
+    check()
 
 
 def test_ring_axioms_random_spot_checks():

@@ -569,18 +569,20 @@ def test_dropped_matchings_are_killed_by_projector(cable):
         assert killed == (m not in kept.terms)
 
 
-@pytest.mark.parametrize("cable", [1, 2, 3])
+@pytest.mark.parametrize("cable", [1, 2, 3, 4])
 def test_projector_trace_closed_form(cable):
     # Under P_c on each bottom bundle a kept matching closes to 0 when it
     # joins two neighbours of one top bundle (a cup on a projector round
     # the closure).  Otherwise let k pairs join bottom bundle 1 to bottom
     # bundle 2: the partial trace of each projector leaves P_k, and one
     # loop of P_k closes it, so the normalized trace is delta_c^2 / delta_k.
+    # The cache holds the closure of the numerators divided once by D,
+    # which is D delta_c^2 / delta_k.
     width = 2 * cable
     _, denom = jw_projector(cable)
     cups = _cups(cable, BOTTOM)
     kept = [m for m in _planar_matchings(2 * width) if not _killed(m, cups)]
-    assert len(kept) == {1: 2, 2: 6, 3: 20}[cable]
+    assert len(kept) == {1: 2, 2: 6, 3: 20, 4: 70}[cable]
     for m in kept:
         trace = _projector_trace(m, cable)
         top_cup = any(
@@ -590,7 +592,7 @@ def test_projector_trace_closed_form(cable):
             assert trace == LaurentPoly.zero(), m
         else:
             k = sum(1 for i in range(cable) if cable <= m[i] < width)
-            assert trace * delta_n(k) == denom * denom * delta_n(cable) ** 2, m
+            assert trace * delta_n(k) == denom * delta_n(cable) ** 2, m
 
 
 def _random_word(rng, width, length):
@@ -1209,18 +1211,20 @@ def test_row_cache_shares_no_row_that_callers_change(patch_tl):
 def _dense_closed_rows(keys):
     """Per closed-row key (m, runs, cable, top): the closure of the two
     projectors under the single matching m under the dense tangle, its
-    top cups dropped on the mask, as raw coefficients."""
+    top cups dropped on the mask, divided once by the projector
+    denominator D, as raw coefficients."""
     tangles, projectors, closed = {}, {}, {}
     for m, runs, cable, top in keys:
         if cable not in projectors:
-            proj, _ = jw_projector(cable)
-            projectors[cable] = tensor(proj, proj)
+            proj, denom = jw_projector(cable)
+            projectors[cable] = tensor(proj, proj), denom
         if (runs, cable) not in tangles:
             tangles[runs, cable] = _dense_tangle(runs, cable)
         tangle = _drop_killed(tangles[runs, cable], _cups(cable, top))
         single = TLElement(2 * cable, 2 * cable, {m: LaurentPoly.one()})
-        element = tl_multiply(projectors[cable], tl_multiply(single, tangle))
-        closed[m, runs, cable, top] = markov_closure(element).coeffs
+        pair, denom = projectors[cable]
+        element = tl_multiply(pair, tl_multiply(single, tangle))
+        closed[m, runs, cable, top] = markov_closure(element).exact_div(denom).coeffs
     return closed
 
 
@@ -1276,7 +1280,7 @@ def test_rows_key_on_the_seam_mask(runs):
 @pytest.mark.parametrize("k", [3, 5, 7])
 def test_torus_knots_match_the_closed_form(k):
     # p:1,...,1 with k ones is T(2, k): every tangle a single crossing
-    for cable in (1, 2, 3, 4) if k == 3 else (1, 2, 3):
+    for cable in (1, 2, 3, 4, 5) if k == 3 else (1, 2, 3):
         for sense in (1, -1):
             knot = PretzelKnot((sense,) * k)
             assert _projected_bracket(knot, cable) == torus_2k_bracket(sense * k, cable)
