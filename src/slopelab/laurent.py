@@ -5,6 +5,8 @@ raise ``ValueError`` on it, and callers test for zero first.
 """
 from __future__ import annotations
 
+from math import gcd
+
 ONE = {0: 1}  # raw form of 1
 
 
@@ -132,12 +134,14 @@ class LaurentPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if not self:
             return LaurentPoly.zero()
-        dtop = other.degree()
+        top, dtop = self.degree(), other.degree()
         dlead = other.coeffs[dtop]
         lower = [(d - dtop, a) for d, a in other.coeffs.items() if d != dtop]
+        # the remainder keeps the top's class mod the gcd of all exponent differences
+        step = gcd(*(e - top for e in self.coeffs), *(d for d, _ in lower)) or 1
         rem = dict(self.coeffs)
         get, quot = rem.get, {}
-        for e in range(self.degree(), self.min_degree() - other.min_degree() + dtop - 1, -1):
+        for e in range(top, self.min_degree() - other.min_degree() + dtop - 1, -step):
             c = rem.pop(e, 0)  # the remainder's top coefficient, or 0
             if c:
                 c, r = divmod(c, dlead)

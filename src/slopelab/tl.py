@@ -18,8 +18,9 @@ summed per (output matching, loop count) and scaled by the loop power
 number one per (term of x, output matching); in a cable's state sum x
 is the running element, the side with the fewer terms.  The closure is
 one more product, against the cap round the side.  Coefficients
-accumulate in place in raw {exponent: coeff} dicts (``laurent.addmul``)
-and are wrapped into LaurentPolys once, at the end.
+accumulate in place in raw {exponent: coeff} dicts (``laurent.addmul``),
+the state sum's in dense lists (``_dense``), exact by the Kauffman
+bracket's parity: the states that leave the same outputs agree mod 4.
 
 Tangles are evaluated in the same boxed form the diagram builder uses:
 a crossing box is a width-2n braid block crossing two n-strand bundles,
@@ -224,20 +225,48 @@ def _matching_times(mx: PlanarMatching, y: TLElement, a: int, cups: tuple = ()) 
     return {m: c for m, c in nonzero if c}
 
 
-def _sum_rows(x: TLElement, b: int, row, *args) -> TLElement:
-    """The (x.a, b) element: x's coefficients times row(matching, *args)."""
-    out = {}
-    for mx, cx in x.terms.items():
-        for m, c in row(mx, *args).items():
-            addmul(out.setdefault(m, {}), c, cx.coeffs)
-    return TLElement(x.a, b, _wrap(out))
-
-
 def tl_multiply(x: TLElement, y: TLElement) -> TLElement:
     """Stack y on top of x (compose x then y); see the module docstring."""
     if x.b != y.a:
         raise ValueError(f"arity mismatch: {x.b} outputs into {y.a} inputs")
-    return _sum_rows(x, y.b, _matching_times, y, x.a)
+    out = {}
+    for mx, cx in x.terms.items():
+        for m, c in _matching_times(mx, y, x.a).items():
+            addmul(out.setdefault(m, {}), c, cx.coeffs)
+    return TLElement(x.a, y.b, _wrap(out))
+
+
+def _dense(raw: dict) -> tuple:
+    """(lo, [c0, c1, ...]), the sum of c_i v^(lo + 4i), for a raw coefficient, without
+    end zeros; ArithmeticError when its exponents fall in two classes mod 4."""
+    exps = [e for e, c in raw.items() if c]
+    lo = min(exps, default=0)
+    if any((e - lo) % 4 for e in exps):
+        raise ArithmeticError(f"exponents {sorted(exps)} lie in two classes mod 4")
+    return lo, [raw.get(e, 0) for e in range(lo, max(exps, default=lo - 1) + 1, 4)]
+
+
+def _sum_rows(terms: dict, row, *args) -> dict:
+    """One state-sum step: nonzero dense terms {matching: (lo, coeffs)} times the
+    dense row(matching, *args), list against list into fresh lists, without the
+    zero sums; ArithmeticError when two products for one output differ mod 4."""
+    out = {}
+    for mx, (lx, cx) in terms.items():
+        for m, (lr, cr) in row(mx, *args).items():
+            a, b = (cx, cr) if len(cx) <= len(cr) else (cr, cx)
+            held, acc = out.setdefault(m, (lx + lr, []))
+            start, r = divmod(lx + lr - held, 4)
+            if r:
+                raise ArithmeticError(f"exponents {held} and {lx + lr} lie in two classes mod 4")
+            if start < 0:
+                acc[:0] = [0] * -start
+                out[m], start = (lx + lr, acc), 0
+            acc.extend([0] * (start + len(a) + len(b) - 1 - len(acc)))
+            for i, c in enumerate(a, start):
+                if c:
+                    for j, d in enumerate(b, i):
+                        acc[j] += c * d
+    return {m: c for m, c in out.items() if any(c[1])}
 
 
 def tensor(x: TLElement, y: TLElement) -> TLElement:
@@ -383,14 +412,15 @@ def _seam_masks(fractions) -> list:
     return [TOP if tangle_sum_parity(fractions[i + 1 :])[1] else 0 for i in range(len(fractions))]
 
 
-# A verify pass over 62 knots builds 125 rows (0.2 MB).
+# A seed-1 verify_c3 pass builds 122 rows (0.14 MB), a jones_c4 pass 22 (0.03 MB).
 @lru_cache(maxsize=1024)
 def _row(m: PlanarMatching, runs: tuple, cable: int, top: int) -> dict:
-    """The row of matching m times one tangle, without the outputs that
-    the projectors on the bottom bundles or, on a gated seam (top, see
+    """The dense row of matching m times one tangle, without the outputs
+    that the projectors on the bottom bundles or, on a gated seam (top, see
     _seam_masks), the top ones kill.  Shared: callers must not change it."""
     tangle = tangle_element(runs, cable, top)
-    return _matching_times(m, tangle, 2 * cable, _cups(cable, BOTTOM | top))
+    raw = _matching_times(m, tangle, 2 * cable, _cups(cable, BOTTOM | top))
+    return {o: _dense(c) for o, c in raw.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -437,25 +467,23 @@ def _projector_pair(cable: int) -> TLElement:
 
 
 @lru_cache(maxsize=None)
-def _projector_trace(m: PlanarMatching, cable: int) -> LaurentPoly:
-    """Closure of _projector_pair(cable) under the single matching m, divided
-    by jw_projector(cable)'s denominator D: 0 or D Δ_c²/Δ_k (k pairs join the
-    bottom bundles), exact since D_c = D_(c-1)² Δ_(c-1) holds each Δ_k, k < c."""
+def _projector_trace(m: PlanarMatching, cable: int) -> dict:
+    """Closure of _projector_pair(cable) under the single matching m over D, the
+    denominator of jw_projector(cable), as a dense row into (): {} or D Δ_c²/Δ_k (k pairs
+    join the bottom bundles), exact since D_c = D_(c-1)² Δ_(c-1) holds each Δ_k, k < c."""
     width = 2 * cable
     single = TLElement(width, width, {m: LaurentPoly.one()})
     closure = markov_closure(tl_multiply(_projector_pair(cable), single))
-    return closure.exact_div(jw_projector(cable)[1])
+    trace = closure.exact_div(jw_projector(cable)[1])
+    return {(): _dense(trace.coeffs)} if trace else {}
 
 
-# One seed-1 verify_c3 pass closes 80 rows, a jones_c4 pass 16.
+# One seed-1 verify_c3 pass closes 80 rows (36 kB), a jones_c4 pass 16 (8 kB).
 @lru_cache(maxsize=1024)
 def _closed_row(m: PlanarMatching, runs: tuple, cable: int, top: int) -> dict:
-    """Raw sum of _row(m, runs, cable, top)'s coefficients times their
-    _projector_trace (one D short).  Shared: callers must not change it."""
-    total = {}
-    for o, c in _row(m, runs, cable, top).items():
-        addmul(total, c, _projector_trace(o, cable).coeffs)
-    return {e: v for e, v in total.items() if v}
+    """_row(m, runs, cable, top) times the _projector_traces, one D short:
+    a dense row into the closure's ().  Shared: callers must not change it."""
+    return _sum_rows(_row(m, runs, cable, top), _projector_trace, cable)
 
 
 CACHES = (_loop_power, crossing_block, _assemble_tangle, _row, jw_projector, _projector_pair,
@@ -473,15 +501,13 @@ def _projected_bracket(knot, cable: int) -> LaurentPoly:
     bundle and each bundle of every seam that _seam_masks gates: one _row
     step per tangle but the last, which each term closes by _closed_row.
     The traces hold one D of the projectors' D²; one division sheds the other."""
-    element = TLElement.identity(2 * cable)
+    terms = dict.fromkeys(TLElement.identity(2 * cable).terms, (0, [1]))
     masks = _seam_masks(knot.fractions)
     *steps, last = [(tuple(runs), cable, top) for runs, top in zip(knot.twist_runs, masks)]
     for step in steps:
-        element = _sum_rows(element, 2 * cable, _row, *step)
-    total = {}
-    for m, c in element.terms.items():
-        addmul(total, c.coeffs, _closed_row(m, *last))
-    bracket = LaurentPoly.wrap({e: v for e, v in total.items() if v})
+        terms = _sum_rows(terms, _row, *step)
+    lo, coeffs = _sum_rows(terms, _closed_row, *last).get((), (0, []))
+    bracket = LaurentPoly.wrap({lo + 4 * i: v for i, v in enumerate(coeffs) if v})
     return bracket.exact_div(jw_projector(cable)[1])
 
 

@@ -134,10 +134,12 @@ def test_long_division_leaves_operands_unchanged():
 
 def test_exact_division_property():
     # a quotient with negative exponents, an exponent stride of 1-4 and
-    # any leading coefficient round-trips.  A monomial is a multiple of a
+    # any leading coefficient round-trips, also when dividend and divisor
+    # lie in different classes mod 4.  A monomial is a multiple of a
     # divisor of two or more terms only when it is zero, so one more
-    # monomial at the top, in the middle or below the degree floor makes
-    # the division inexact.
+    # monomial at the top, in the middle, below the degree floor or one
+    # below the top (off the class that the pass walks when all
+    # exponents share one mod 2 or 4) makes the division inexact.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     coeff = st.integers(-9, 9).filter(bool)
@@ -149,17 +151,24 @@ def test_exact_division_property():
             exps, st.lists(coeff, min_size=size, max_size=size),
         )
 
-    cases = st.integers(1, 4).flatmap(lambda s: st.tuples(poly(s, 1, 8), poly(s, 2, 5)))
+    def shifted(stride, least, size):
+        return st.tuples(poly(stride, least, size), st.integers(0, 3)).map(lambda t: t[0].shift(t[1]))
+
+    same = st.integers(1, 4).flatmap(lambda s: st.tuples(poly(s, 1, 8), poly(s, 2, 5)))
+    # a dividend and a divisor in different classes mod 4: the gcd of
+    # their exponent differences is 1, 2 or 4
+    strides = st.tuples(st.sampled_from((1, 2, 4)), st.sampled_from((1, 2, 4)))
+    mixed = strides.flatmap(lambda s: st.tuples(shifted(s[0], 1, 8), shifted(s[1], 2, 5)))
 
     @hypothesis.settings(deadline=None, max_examples=300)
-    @hypothesis.given(cases, coeff, st.integers(1, 3))
+    @hypothesis.given(st.one_of(same, mixed), coeff, st.integers(1, 3))
     def check(pair, extra, gap):
         a, b = pair
         prod = a * b
         before = (dict(a.coeffs), dict(b.coeffs), dict(prod.coeffs))
         assert prod.exact_div(b) == a
         lo, hi = prod.min_degree(), prod.degree()
-        for e in (hi + gap, (lo + hi) // 2, lo - gap):
+        for e in (hi + gap, (lo + hi) // 2, lo - gap, hi - 1):
             with pytest.raises(ArithmeticError):
                 (prod + P({e: extra})).exact_div(b)
         assert (dict(a.coeffs), dict(b.coeffs), dict(prod.coeffs)) == before

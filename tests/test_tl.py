@@ -16,7 +16,7 @@ from slopelab.knots import (
     parse_knot_spec,
     tangle_sum_parity,
 )
-from slopelab.laurent import LaurentPoly
+from slopelab.laurent import LaurentPoly, addmul
 from slopelab.tl import (
     BOTTOM,
     DEFAULT_COLOR_CAP,
@@ -27,6 +27,7 @@ from slopelab.tl import (
     _block_word,
     _closed_row,
     _cups,
+    _dense,
     _drop_killed,
     _killed,
     _matching_times,
@@ -58,6 +59,8 @@ from support import (
     cyclotomic_coefficients,
     mirror,
     parse_poly,
+    raw_coeffs,
+    raw_rows,
     rotate,
     seam_masks_by_routing,
     theta,
@@ -584,7 +587,7 @@ def test_projector_trace_closed_form(cable):
     kept = [m for m in _planar_matchings(2 * width) if not _killed(m, cups)]
     assert len(kept) == {1: 2, 2: 6, 3: 20, 4: 70}[cable]
     for m in kept:
-        trace = _projector_trace(m, cable)
+        trace = LaurentPoly(raw_rows(_projector_trace(m, cable)).get((), {}))
         top_cup = any(
             m[p] == p + 1 for p in range(width, 2 * width - 1) if p != width + cable - 1
         )
@@ -608,7 +611,8 @@ def test_kernels_drop_killed_terms(cable):
     cups = _cups(cable, BOTTOM)
     for _ in range(3):
         x = _random_element(rng, width)
-        for y in (_random_element(rng, width), tangle_element([("v", 2, 1)], cable)):
+        tangle = tangle_element([("v", 2, 1)], cable)
+        for y in (_random_element(rng, width), tangle):
             plain = tl_multiply(x, y)
             assert plain == _glued_product(x, y)
             # the row of one matching with cups is the filtered product
@@ -617,8 +621,18 @@ def test_kernels_drop_killed_terms(cable):
                 row = _matching_times(m, y, width, cups)
                 rows = TLElement(width, width, {k: LaurentPoly(c) for k, c in row.items()})
                 assert rows == _drop_projector_cups(tl_multiply(single, y), cable)
-            filtered = _sum_rows(x, width, _matching_times, y, width, cups)
-            assert filtered == _drop_projector_cups(plain, cable)
+        # the dense step sums the same filtered rows.  Each of its
+        # coefficients keeps one class mod 4, as a diagram's do, so x is a
+        # tangle times a random polynomial in v^4, and y the tangle above.
+        scale = LaurentPoly({4 * e: c for e, c in _random_poly(rng, 3).coeffs.items()})
+        x = tangle_element([("h", 2, -1)], cable)
+        x = TLElement(width, width, {m: c * scale for m, c in x.terms.items()})
+        filtered = _sum_rows(
+            {m: _dense(c.coeffs) for m, c in x.terms.items()},
+            lambda m: {k: _dense(c) for k, c in _matching_times(m, tangle, width, cups).items()},
+        )
+        expected = _drop_projector_cups(tl_multiply(x, tangle), cable)
+        assert raw_rows(filtered) == {m: c.coeffs for m, c in expected.terms.items()}
         words = [_random_word(rng, width, 6), _block_word(cable), 2 * _block_word(cable)]
         for word in words:
             for over_diag in (0, 1):
@@ -629,6 +643,57 @@ def test_kernels_drop_killed_terms(cable):
                 assert _times_word(x, word, over_diag, ()) == plain
                 dropped = _drop_projector_cups(plain, cable)
                 assert _times_word(x, word, over_diag, cups) == dropped
+
+
+def test_dense_kernel_matches_addmul():
+    # _sum_rows on dense coefficients adds the product that laurent.addmul
+    # adds on raw ones, into an empty sum or one held before or after it,
+    # for raw operands whose exponents share a class mod 4 each: zero
+    # coefficients inside, single terms, unequal lengths and negative
+    # exponents included.  No input list changes.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def raw(cls, least):
+        exps = st.integers(-10, 10).map(lambda e: 4 * e + cls)
+        return st.dictionaries(exps, st.integers(-9, 9), min_size=least, max_size=8)
+
+    operands = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda r: st.tuples(raw(r[0], 1), raw(r[1], 1), raw((r[0] + r[1]) % 4, 0))
+    )
+
+    @hypothesis.settings(deadline=None, max_examples=300)
+    @hypothesis.given(operands, st.booleans())
+    def check(ops, held_first):
+        a, b, held = ops
+        expected = dict(held)
+        addmul(expected, a, b)
+        expected = {e: c for e, c in expected.items() if c}
+        # zero coefficients never reach the kernel: rows and sums drop them
+        order = [("held", _dense(held)), ("a", _dense(a))][:: 1 if held_first else -1]
+        terms = {k: v for k, v in order if v[1]}
+        rows = {"held": {"sum": (0, [1])}, "a": {"sum": _dense(b)} if _dense(b)[1] else {}}
+        before = repr((terms, rows))
+        out = _sum_rows(terms, rows.__getitem__)
+        assert raw_rows(out) == ({"sum": expected} if expected else {})
+        assert repr((terms, rows)) == before
+        assert raw_coeffs(_dense(a)) == {e: c for e, c in a.items() if c}
+
+    check()
+
+
+def test_dense_form_refuses_two_classes():
+    # a raw coefficient, or two products for one output, whose exponents
+    # fall in two classes mod 4 has no dense form: an error, never a lost
+    # term
+    assert _dense({-6: 2, 1: 0, 6: -1}) == (-6, [2, 0, 0, -1])
+    assert _dense({3: 0}) == (0, [])
+    for raw in ({0: 1, 2: 1}, {-3: 4, 0: -1}, {5: 1, 4: 1}):
+        with pytest.raises(ArithmeticError):
+            _dense(raw)
+    rows = {"x": {"sum": (0, [1])}, "y": {"sum": (2, [1])}}
+    with pytest.raises(ArithmeticError):
+        _sum_rows({"x": (0, [1]), "y": (0, [1])}, rows.__getitem__)
 
 
 def _drop_bundle_pairs(x, cable, bundle):
@@ -1204,7 +1269,7 @@ def test_row_cache_shares_no_row_that_callers_change(patch_tl):
         single = TLElement(len(m) - 2 * cable, 2 * cable, {m: LaurentPoly.one()})
         dense = tl_multiply(single, _dense_tangle(runs, cable))
         expected = _drop_killed(dense, _cups(cable, BOTTOM | top))
-        row = tl._row(m, runs, cable, top)
+        row = raw_rows(tl._row(m, runs, cable, top))
         assert row == {k: c.coeffs for k, c in expected.terms.items()}, (m, runs, cable, top)
 
 
@@ -1241,7 +1306,7 @@ def test_closed_rows_match_the_dense_closure(patch_tl):
     assert {top for *_, top in keys} == {TOP}
     assert _closed_row.cache_info().currsize == len(keys)
     for key, expected in _dense_closed_rows(keys).items():
-        assert _closed_row(*key) == expected, key
+        assert raw_rows(_closed_row(*key)) == ({(): expected} if expected else {}), key
 
 
 def test_every_cache_is_listed():
@@ -1262,6 +1327,27 @@ def test_cold_caches_give_the_warm_polynomials():
     assert [colored_jones(knot, n) for n in (2, 3, 4) for knot in knots] == warm == first
 
 
+def test_warm_state_sum_makes_no_raw_product(monkeypatch):
+    # with every row and closed row cached, the state sum multiplies
+    # dense lists only: no laurent.addmul call before its one LaurentPoly
+    import slopelab.tl as tl
+
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return addmul(*args)
+
+    for spec in ("m:-1/3,2/7,1/4", "p:-3,5,5"):
+        knot = parse_knot_spec(spec)
+        for cable in (1, 2, 3):
+            cold = _projected_bracket(knot, cable)
+            monkeypatch.setattr(tl, "addmul", spy)
+            assert _projected_bracket(knot, cable) == cold
+            assert calls == [], (spec, cable)
+            monkeypatch.undo()
+
+
 @pytest.mark.parametrize("runs", [[("v", 3, 1)], [("h", 2, 1), ("v", 2, -1)]])
 def test_rows_key_on_the_seam_mask(runs):
     # the row of the identity is the tangle itself, filtered on the
@@ -1274,7 +1360,7 @@ def test_rows_key_on_the_seam_mask(runs):
     for top, row in rows.items():
         assert row == tl._row.__wrapped__(ident, tuple(runs), 2, top)
         tangle = _drop_killed(_dense_tangle(runs, 2), _cups(2, BOTTOM | top))
-        assert row == {m: c.coeffs for m, c in tangle.terms.items()}
+        assert raw_rows(row) == {m: c.coeffs for m, c in tangle.terms.items()}
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])
