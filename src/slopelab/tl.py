@@ -236,9 +236,13 @@ def tl_multiply(x: TLElement, y: TLElement) -> TLElement:
     return TLElement(x.a, y.b, _wrap(out))
 
 
+def _raw(dense: tuple) -> dict:
+    """The nonzero {exponent: coeff} of a dense (lo, [c0, c1, ...]): the sum of c_i v^(lo + 4i)."""
+    return {dense[0] + 4 * i: c for i, c in enumerate(dense[1]) if c}
+
+
 def _dense(raw: dict) -> tuple:
-    """(lo, [c0, c1, ...]), the sum of c_i v^(lo + 4i), for a raw coefficient, without
-    end zeros; ArithmeticError when its exponents fall in two classes mod 4."""
+    """Dense form (see _raw) of a raw coefficient; ArithmeticError on two classes mod 4."""
     exps = [e for e, c in raw.items() if c]
     lo = min(exps, default=0)
     if any((e - lo) % 4 for e in exps):
@@ -247,9 +251,9 @@ def _dense(raw: dict) -> tuple:
 
 
 def _sum_rows(terms: dict, row, *args) -> dict:
-    """One state-sum step: nonzero dense terms {matching: (lo, coeffs)} times the
-    dense row(matching, *args), list against list into fresh lists, without the
-    zero sums; ArithmeticError when two products for one output differ mod 4."""
+    """One state-sum step: nonzero dense terms {matching: (lo, coeffs)} times the dense
+    row(matching, *args), into fresh lists that keep the end zeros where products cancel,
+    without the zero sums; ArithmeticError when two products for one output differ mod 4."""
     out = {}
     for mx, (lx, cx) in terms.items():
         for m, (lr, cr) in row(mx, *args).items():
@@ -294,8 +298,7 @@ def markov_closure(x: TLElement) -> LaurentPoly:
     # x read as a (0, size) element, under the identity's matching read
     # as the (size, 0) cap that joins i to size - 1 - i
     cap = TLElement(size, 0, TLElement.identity(x.a).terms)
-    closed = tl_multiply(TLElement(0, size, x.terms), cap)
-    return closed.terms.get((), LaurentPoly.zero())
+    return tl_multiply(TLElement(0, size, x.terms), cap).terms.get((), LaurentPoly.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +474,7 @@ def _projector_trace(m: PlanarMatching, cable: int) -> dict:
     """Closure of _projector_pair(cable) under the single matching m over D, the
     denominator of jw_projector(cable), as a dense row into (): {} or D Δ_c²/Δ_k (k pairs
     join the bottom bundles), exact since D_c = D_(c-1)² Δ_(c-1) holds each Δ_k, k < c."""
-    width = 2 * cable
-    single = TLElement(width, width, {m: LaurentPoly.one()})
+    single = TLElement(2 * cable, 2 * cable, {m: LaurentPoly.one()})
     closure = markov_closure(tl_multiply(_projector_pair(cable), single))
     trace = closure.exact_div(jw_projector(cable)[1])
     return {(): _dense(trace.coeffs)} if trace else {}
@@ -506,9 +508,8 @@ def _projected_bracket(knot, cable: int) -> LaurentPoly:
     *steps, last = [(tuple(runs), cable, top) for runs, top in zip(knot.twist_runs, masks)]
     for step in steps:
         terms = _sum_rows(terms, _row, *step)
-    lo, coeffs = _sum_rows(terms, _closed_row, *last).get((), (0, []))
-    bracket = LaurentPoly.wrap({lo + 4 * i: v for i, v in enumerate(coeffs) if v})
-    return bracket.exact_div(jw_projector(cable)[1])
+    total = _sum_rows(terms, _closed_row, *last).get((), (0, []))
+    return LaurentPoly.wrap(_raw(total)).exact_div(jw_projector(cable)[1])
 
 
 def colored_jones(knot, n: int, color_cap: int = DEFAULT_COLOR_CAP) -> LaurentPoly:
@@ -523,6 +524,5 @@ def colored_jones(knot, n: int, color_cap: int = DEFAULT_COLOR_CAP) -> LaurentPo
     cable = n - 1
     if cable == 0:
         return LaurentPoly.one()
-    bracket = _projected_bracket(knot, cable)
     framing = LaurentPoly.term(1 if cable % 2 == 0 else -1, -knot.writhe * (n * n - 1))
-    return framing * bracket
+    return framing * _projected_bracket(knot, cable)

@@ -11,8 +11,8 @@ with one projector below it, a reference for ``colored_jones``;
 an element's disk, the reference for a vertical run's shifted word.
 ``_matching`` builds a partner tuple from a list of pairs, checking
 that each point is paired once.  ``mirror`` substitutes v -> v^-1 and
-``report_json`` renders a report's JSON text.  ``raw_coeffs`` and
-``raw_rows`` read the state sum's dense coefficients back as raw dicts.
+``report_json`` renders a report's JSON text.  ``raw_rows`` reads a
+dense row of the state sum back as raw dicts.
 The three ``_*_entries`` recipes and ``ladder_search`` are
 the earlier hand-derived edge-path expansions and ladder depth search,
 kept as a reference for ``negative_cfe`` and the closed-form depth.
@@ -41,6 +41,7 @@ from slopelab.tl import (
     TOP,
     TLElement,
     _block_word,
+    _raw,
     _run_words,
     _stack,
     _times_word,
@@ -318,16 +319,9 @@ def parse_poly(text: str) -> LaurentPoly:
     return LaurentPoly(out)
 
 
-def raw_coeffs(dense) -> dict:
-    """The raw {exponent: coeff} dict of a dense coefficient (lo, [c0, c1,
-    ...]) of the TL state sum, the sum of c_i v^(lo + 4i), without zeros."""
-    lo, coeffs = dense
-    return {lo + 4 * i: c for i, c in enumerate(coeffs) if c}
-
-
 def raw_rows(row: dict) -> dict:
-    """``raw_coeffs`` of each value of a dense row {matching: (lo, coeffs)}."""
-    return {m: raw_coeffs(c) for m, c in row.items()}
+    """``tl._raw`` of each value of a dense row {matching: (lo, coeffs)}."""
+    return {m: _raw(c) for m, c in row.items()}
 
 
 def mirror(poly: LaurentPoly) -> LaurentPoly:

@@ -33,6 +33,7 @@ from slopelab.tl import (
     _matching_times,
     _projected_bracket,
     _projector_trace,
+    _raw,
     _seam_masks,
     _stack,
     _sum_rows,
@@ -59,7 +60,6 @@ from support import (
     cyclotomic_coefficients,
     mirror,
     parse_poly,
-    raw_coeffs,
     raw_rows,
     rotate,
     seam_masks_by_routing,
@@ -606,7 +606,7 @@ def _random_word(rng, width, length):
 def test_kernels_drop_killed_terms(cable):
     # Every planar matching may be drawn, killed ones among them, so the
     # filtered kernels are checked on inputs that are not filtered yet.
-    rng = random.Random(70 + cable)
+    rng, scales = random.Random(70 + cable), random.Random(80 + cable)
     width = 2 * cable
     cups = _cups(cable, BOTTOM)
     for _ in range(3):
@@ -622,16 +622,17 @@ def test_kernels_drop_killed_terms(cable):
                 rows = TLElement(width, width, {k: LaurentPoly(c) for k, c in row.items()})
                 assert rows == _drop_projector_cups(tl_multiply(single, y), cable)
         # the dense step sums the same filtered rows.  Each of its
-        # coefficients keeps one class mod 4, as a diagram's do, so x is a
-        # tangle times a random polynomial in v^4, and y the tangle above.
-        scale = LaurentPoly({4 * e: c for e, c in _random_poly(rng, 3).coeffs.items()})
-        x = tangle_element([("h", 2, -1)], cable)
-        x = TLElement(width, width, {m: c * scale for m, c in x.terms.items()})
+        # coefficients keeps one class mod 4, as a diagram's do, so its
+        # terms are a tangle times a random polynomial in v^4 (drawn apart,
+        # so x and the words below stay random), and its rows the tangle's.
+        scale = LaurentPoly({4 * e: c for e, c in _random_poly(scales, 3).coeffs.items()})
+        scaled = tangle_element([("h", 2, -1)], cable)
+        scaled = TLElement(width, width, {m: c * scale for m, c in scaled.terms.items()})
         filtered = _sum_rows(
-            {m: _dense(c.coeffs) for m, c in x.terms.items()},
+            {m: _dense(c.coeffs) for m, c in scaled.terms.items()},
             lambda m: {k: _dense(c) for k, c in _matching_times(m, tangle, width, cups).items()},
         )
-        expected = _drop_projector_cups(tl_multiply(x, tangle), cable)
+        expected = _drop_projector_cups(tl_multiply(scaled, tangle), cable)
         assert raw_rows(filtered) == {m: c.coeffs for m, c in expected.terms.items()}
         words = [_random_word(rng, width, 6), _block_word(cable), 2 * _block_word(cable)]
         for word in words:
@@ -677,7 +678,7 @@ def test_dense_kernel_matches_addmul():
         out = _sum_rows(terms, rows.__getitem__)
         assert raw_rows(out) == ({"sum": expected} if expected else {})
         assert repr((terms, rows)) == before
-        assert raw_coeffs(_dense(a)) == {e: c for e, c in a.items() if c}
+        assert _raw(_dense(a)) == {e: c for e, c in a.items() if c}
 
     check()
 
