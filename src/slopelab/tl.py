@@ -44,9 +44,11 @@ term with a cup inside either bottom bundle (see ``BOTTOM``), and
 stacking on top never removes a bottom cup, so a row leaves such outputs
 out before any coefficient work.  The closure is linear, so the last
 tangle closes with it: each term times its matching's cached closed row,
-whose outputs o carry the cached closure of the projectors under o over
-one of their two denominators D; the sum divides by the other.  The
-smoothing weights follow ``diagrams.over_diagonal`` (see ``KAPPA``).
+whose outputs o carry the closure of the projectors under o over one of
+their two denominators D by its closed form (Kauffman-Lins): 0 on a cup
+inside a bundle, else D Δ_c² / Δ_k when k pairs of o join the bottom
+bundles.  The sum divides by the other D.  The smoothing weights follow
+``diagrams.over_diagonal`` (see ``KAPPA``).
 
 The same pair of projectors may sit on a seam between tangles.  The
 seam above tangle T_i carries it when the tangles above route both
@@ -463,33 +465,29 @@ def jw_projector(n: int) -> tuple[TLElement, LaurentPoly]:
 
 
 @lru_cache(maxsize=None)
-def _projector_pair(cable: int) -> TLElement:
-    """tensor(P, P) for jw_projector(cable)'s numerator P.  Shared: callers must not change it."""
-    proj, _ = jw_projector(cable)
-    return tensor(proj, proj)
-
-
-@lru_cache(maxsize=None)
 def _projector_trace(m: PlanarMatching, cable: int) -> dict:
-    """Closure of _projector_pair(cable) under the single matching m over D, the
-    denominator of jw_projector(cable), as a dense row into (): {} or D Δ_c²/Δ_k (k pairs
-    join the bottom bundles), exact since D_c = D_(c-1)² Δ_(c-1) holds each Δ_k, k < c."""
-    single = TLElement(2 * cable, 2 * cable, {m: LaurentPoly.one()})
-    closure = markov_closure(tl_multiply(_projector_pair(cable), single))
-    trace = closure.exact_div(jw_projector(cable)[1])
-    return {(): _dense(trace.coeffs)} if trace else {}
+    """Closure of P ⊗ P under the single matching m over D, for jw_projector(cable)'s
+    (P, D), as a dense row into (): {} when a projector kills m, else closure(P)² /
+    (D Δ_k) if k pairs join the bottom bundles.  That is D Δ_c² / Δ_k, which is exact,
+    as D_c = D_(c-1)² Δ_(c-1) holds each Δ_k, k < c."""
+    if _killed(m, _cups(cable, BOTTOM | TOP)):
+        return {}
+    proj, denom = jw_projector(cable)
+    closure = markov_closure(proj)
+    k = sum(1 for i in range(cable) if cable <= m[i] < 2 * cable)
+    return {(): _dense((closure * closure).exact_div(denom * delta_n(k)).coeffs)}
 
 
 # One seed-1 verify_c3 pass closes 80 rows (36 kB), a jones_c4 pass 16 (8 kB).
 @lru_cache(maxsize=1024)
 def _closed_row(m: PlanarMatching, runs: tuple, cable: int, top: int) -> dict:
-    """_row(m, runs, cable, top) times the _projector_traces, one D short:
-    a dense row into the closure's ().  Shared: callers must not change it."""
+    """_row(m, runs, cable, top) times the _projector_traces, D Δ_c² / Δ_k each, one D
+    short: a dense row into the closure's ().  Shared: callers must not change it."""
     return _sum_rows(_row(m, runs, cable, top), _projector_trace, cable)
 
 
-CACHES = (_loop_power, crossing_block, _assemble_tangle, _row, jw_projector, _projector_pair,
-          _projector_trace, _closed_row)
+CACHES = (_loop_power, crossing_block, _assemble_tangle, _row, jw_projector, _projector_trace,
+          _closed_row)
 
 
 def clear_caches() -> None:

@@ -5,7 +5,9 @@
 two independent ways; ``colored_jones_unknot`` evaluates the unknot on a
 crossingless round diagram, a reference value for the skein oracle.
 ``colored_jones_one_projector`` is the earlier closure of the cable,
-with one projector below it, a reference for ``colored_jones``;
+with one projector below it, a reference for ``colored_jones``, and
+``projector_pair_trace`` the earlier closure of P_c tensor P_c under one
+matching, a reference for the closed form ``tl._projector_trace``;
 ``_drop_projector_cups`` is the drop rule written out point by point,
 ``_times_generator`` stacks one braid generator, and ``rotate`` turns
 an element's disk, the reference for a vertical run's shifted word.
@@ -209,6 +211,15 @@ def colored_jones_one_projector(knot, n: int) -> LaurentPoly:
     bracket = markov_closure(element).exact_div(denom)
     framing = LaurentPoly.term(1 if cable % 2 == 0 else -1, -knot.writhe * (n * n - 1))
     return framing * bracket
+
+
+def projector_pair_trace(m, cable: int) -> LaurentPoly:
+    """The closure of tensor(P, P) under the single matching m of a
+    (2 cable, 2 cable) frame, divided once by D, for jw_projector(cable)'s
+    (P, D): the product that ``tl._projector_trace`` replaces by its rule."""
+    proj, denom = jw_projector(cable)
+    single = TLElement(2 * cable, 2 * cable, {m: LaurentPoly.one()})
+    return markov_closure(tl_multiply(tensor(proj, proj), single)).exact_div(denom)
 
 
 def torus_2k_bracket(k: int, cable: int) -> LaurentPoly:

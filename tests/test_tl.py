@@ -60,6 +60,7 @@ from support import (
     cyclotomic_coefficients,
     mirror,
     parse_poly,
+    projector_pair_trace,
     raw_rows,
     rotate,
     seam_masks_by_routing,
@@ -579,15 +580,22 @@ def test_projector_trace_closed_form(cable):
     # the closure).  Otherwise let k pairs join bottom bundle 1 to bottom
     # bundle 2: the partial trace of each projector leaves P_k, and one
     # loop of P_k closes it, so the normalized trace is delta_c^2 / delta_k.
-    # The cache holds the closure of the numerators divided once by D,
-    # which is D delta_c^2 / delta_k.
+    # The library reads that rule off; the reference closes the numerators
+    # under the matching and divides once by D, which is D delta_c^2 / delta_k.
+    # The reference is cheap below cable 4, so there it takes every matching.
     width = 2 * cable
     _, denom = jw_projector(cable)
     cups = _cups(cable, BOTTOM)
-    kept = [m for m in _planar_matchings(2 * width) if not _killed(m, cups)]
+    every = _planar_matchings(2 * width)
+    kept = [m for m in every if not _killed(m, cups)]
     assert len(kept) == {1: 2, 2: 6, 3: 20, 4: 70}[cable]
+    checked = every if cable < 4 else kept
+    traces = {m: LaurentPoly(raw_rows(_projector_trace(m, cable)).get((), {})) for m in checked}
+    for m, trace in traces.items():
+        assert trace == projector_pair_trace(m, cable), m
+    swapped = []  # the rule with delta_(c-k) in place of delta_k
     for m in kept:
-        trace = LaurentPoly(raw_rows(_projector_trace(m, cable)).get((), {}))
+        trace = traces[m]
         top_cup = any(
             m[p] == p + 1 for p in range(width, 2 * width - 1) if p != width + cable - 1
         )
@@ -596,6 +604,8 @@ def test_projector_trace_closed_form(cable):
         else:
             k = sum(1 for i in range(cable) if cable <= m[i] < width)
             assert trace * delta_n(k) == denom * delta_n(cable) ** 2, m
+            swapped.append(trace * delta_n(cable - k) == denom * delta_n(cable) ** 2)
+    assert not all(swapped)
 
 
 def _random_word(rng, width, length):
@@ -954,6 +964,32 @@ def test_frozen_color5_polynomials(spec, text):
     assert colored_jones(parse_knot_spec(spec), 5, color_cap=5) == parse_poly(text)
 
 
+# Colour 6, cable 5, where only T(2, 3) reaches otherwise.
+FROZEN_COLOR6 = (
+    "p:-3,3,3",
+    "-v^370 + v^362 + v^358 + v^354 - v^346 - 2*v^342 - v^338 + v^330"
+    " + 2*v^326 + 2*v^322 - 2*v^314 - 2*v^310 - 2*v^306 - 2*v^302 + 2*v^294"
+    " + 3*v^290 + 3*v^286 + v^282 - 2*v^278 - 3*v^274 - 2*v^270 + 3*v^262"
+    " + 5*v^258 + 4*v^254 + v^250 - 4*v^246 - 6*v^242 - 4*v^238 - v^234"
+    " + 3*v^230 + 4*v^226 + 2*v^222 - 3*v^218 - 6*v^214 - 6*v^210 - 2*v^206"
+    " + 3*v^202 + 7*v^198 + 6*v^194 - 4*v^186 - 4*v^182 - v^178 + 5*v^174"
+    " + 8*v^170 + 5*v^166 - v^162 - 4*v^158 - 4*v^154 + 4*v^146 + 3*v^142"
+    " - v^138 - 6*v^134 - 7*v^130 - 3*v^126 + 2*v^122 + 2*v^118 - v^114"
+    " - 4*v^110 - 3*v^106 + 3*v^98 + 2*v^94 + v^90 + 3*v^82 + 4*v^78 + 3*v^74"
+    " + v^70 - v^66 - v^62 + v^54 + v^50 + v^46 - v^42 - 3*v^38 - 5*v^34"
+    " - 5*v^30 - 3*v^26 + 4*v^22 + 6*v^18 + 5*v^14 - v^10 - 7*v^6 - 10*v^2"
+    " - 5*v^-2 + 5*v^-6 + 10*v^-10 + 7*v^-14 - v^-18 - 7*v^-22 - 7*v^-26"
+    " - v^-30 + 5*v^-34 + 5*v^-38 + 2*v^-42 - 2*v^-50 - 2*v^-54 - 2*v^-58",
+)
+
+
+def test_frozen_color6_polynomial():
+    spec, text = FROZEN_COLOR6
+    poly = colored_jones(parse_knot_spec(spec), 6, color_cap=6)
+    assert (poly.min_degree(), poly.degree(), len(poly.coeffs)) == (-58, 370, 96)
+    assert poly == parse_poly(text)
+
+
 # The jones_c4 benchmark knots and the mirrors of its pretzels, plus two
 # larger knots with long vertical runs.
 ONE_PROJECTOR_SPECS = [
@@ -1308,6 +1344,20 @@ def test_closed_rows_match_the_dense_closure(patch_tl):
     assert _closed_row.cache_info().currsize == len(keys)
     for key, expected in _dense_closed_rows(keys).items():
         assert raw_rows(_closed_row(*key)) == ({(): expected} if expected else {}), key
+
+
+def test_traces_key_on_one_matching_per_k(patch_tl):
+    # The closure's seam always carries the projectors, so a closed row's
+    # outputs have no cup inside any bundle, and such a matching is fixed
+    # by the number k of pairs that join the bottom bundles.
+    keys = _spied_sweep(patch_tl)["_projector_trace"]
+    assert {cable for _, cable in keys} == {1, 2}
+    by_k = {}
+    for m, cable in keys:
+        assert not _killed(m, _cups(cable, BOTTOM | TOP)), m
+        k = sum(1 for i in range(cable) if cable <= m[i] < 2 * cable)
+        by_k.setdefault((cable, k), []).append(m)
+    assert all(len(matchings) == 1 for matchings in by_k.values()), by_k
 
 
 def test_every_cache_is_listed():
