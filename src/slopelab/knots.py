@@ -51,6 +51,9 @@ class _KnotRecord:
         """Lattice minima of the associated twist vector, shared by all colours."""
         return LatticeMinima.of_twists(self.associated.q)
 
+    def is_knot(self) -> bool:
+        return tangle_sum_parity(self.fractions)[0] == 1
+
 
 @dataclass(frozen=True)
 class PretzelKnot(_KnotRecord):
@@ -75,9 +78,6 @@ class PretzelKnot(_KnotRecord):
     def twist_runs(self) -> list[list[tuple[str, int, int]]]:
         """Diagram recipes [(axis, count, sense)]: one vertical run per tangle."""
         return [[("v", abs(q), 1 if q > 0 else -1)] for q in self.q]
-
-    def is_knot(self) -> bool:
-        return tangle_sum_parity(self.fractions)[0] == 1
 
     def mirror(self) -> "PretzelKnot":
         return PretzelKnot(tuple(-x for x in self.q))
@@ -269,7 +269,7 @@ def parse_knot_spec(text: str):
 
 def require_knot(knot):
     """Raise NotAKnot when the model closes up into a link."""
-    if tangle_sum_parity(knot.fractions)[0] != 1:
+    if not knot.is_knot():
         raise NotAKnot(f"{knot.spec()} closes up into a link")
 
 

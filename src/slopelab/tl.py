@@ -61,12 +61,12 @@ with a cup inside a top bundle is zero, in the running element and in
 T_i itself.  Seams are filtered bottom to top, one side each: the
 bottom cups of T_(i+1) are kept, since dropping them would slide the
 projector down through an element that is already filtered.  Inside a
-tangle, a cup in a bundle that no later run touches is permanent and
-is dropped at once: a vertical run acts on bundles 1 and 2 only, a
-horizontal run on 2 and 3, so a pretzel column drops top bundle 3 from
-its second block on.  Each drop is one rule: ``_cups`` turns a bundle
-mask into the points i whose cup (i, i + 1) a projector kills, and each
-kernel takes that tuple.
+tangle, a cup in a bundle that neither the current run nor a later one
+touches is permanent and is dropped at once; the run axes say which: a
+vertical run acts on bundles 1 and 2 only, a horizontal run on 2 and 3,
+so a pretzel column drops top bundle 3 from its second block on.  Each
+drop is one rule: ``_cups`` turns a bundle mask into the points i whose
+cup (i, i + 1) a projector kills, and each kernel takes that tuple.
 """
 from __future__ import annotations
 
@@ -356,36 +356,6 @@ def crossing_block(cable: int, over_diag: int) -> TLElement:
     return _times_word(TLElement.identity(2 * cable), _block_word(cable), over_diag)
 
 
-def _run_words(runs, cable: int):
-    """The over diagonal of a tangle's first block, and per run the
-    (word, over_diag) that stacks the run's other blocks on it.
-
-    Blocks of a horizontal run are stacked on top.  A vertical run
-    attaches them below the east-west axis instead: that is the same
-    word on the points a quarter turn round, where a block's over
-    diagonal flips.
-    """
-    first, words = None, []
-    for axis, count, sense in runs:
-        over_diag = over_diagonal(sense)
-        if first is None and count:
-            first, count = over_diag, count - 1
-        word = count * _block_word(cable)
-        if axis == "v":
-            # a word index counts top labels round the disk, so generator
-            # i + cable is generator i a quarter turn round
-            word, over_diag = [i + cable for i in word], 1 - over_diag
-        words.append((word, over_diag))
-    if first is None:
-        raise ValueError("tangle has no crossings")
-    return first, words
-
-
-def _touched(word, cable: int) -> int:
-    """Bundle mask of the labels word acts on: 4 cable - i - 1 and 4 cable - i per generator i."""
-    return sum({1 << (4 * cable - i - d) // cable for i in word for d in (0, 1)})
-
-
 def tangle_element(runs, cable: int, mask: int = 0) -> TLElement:
     """Evaluate one tangle recipe at the given cable width.  mask selects
     top bundles that carry a projector on the seam above the tangle (see
@@ -400,12 +370,26 @@ def tangle_element(runs, cable: int, mask: int = 0) -> TLElement:
 # (0.2 MB); at colour 4 one of a run of 21 crossings holds about 0.1 MB.
 @lru_cache(maxsize=128)
 def _assemble_tangle(runs: tuple, cable: int, mask: int) -> TLElement:
-    first, words = _run_words(runs, cable)
-    element = crossing_block(cable, first)
-    for r, (word, over_diag) in enumerate(words):
-        if word:
-            busy = _touched([i for later, _ in words[r:] for i in later], cable)
-            element = _times_word(element, word, over_diag, _cups(cable, mask & ~busy))
+    """The first block, then per run the word that stacks its other
+    blocks, dropping the cups of mask in each bundle that neither the run
+    nor a later one touches, read off the run axes (see the module docstring)."""
+    left = [count for _, count, _ in runs]
+    first = next((r for r, count in enumerate(left) if count), None)
+    if first is None:
+        raise ValueError("tangle has no crossings")
+    left[first] -= 1
+    element = crossing_block(cable, over_diagonal(runs[first][2]))
+    for r, (axis, _, sense) in enumerate(runs):
+        if not left[r]:
+            continue
+        later = {a for (a, _, _), count in zip(runs[r:], left[r:]) if count}
+        busy = (0b0110 if "v" in later else 0) | (0b1100 if "h" in later else 0)
+        word, over_diag = left[r] * _block_word(cable), over_diagonal(sense)
+        if axis == "v":
+            # a word index counts top labels round the disk, so generator
+            # i + cable is generator i a quarter turn round
+            word, over_diag = [i + cable for i in word], 1 - over_diag
+        element = _times_word(element, word, over_diag, _cups(cable, mask & ~busy))
     return _drop_killed(element, _cups(cable, mask))
 
 

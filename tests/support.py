@@ -42,9 +42,7 @@ from slopelab.tl import (
     DEFAULT_COLOR_CAP,
     TOP,
     TLElement,
-    _block_word,
     _raw,
-    _run_words,
     _stack,
     _times_word,
     delta_n,
@@ -264,11 +262,12 @@ def cyclotomic_coefficients(polys, writhe: int) -> list:
 def _routing(runs) -> tuple:
     """Where a tangle's strands run at cable 1: one of the three
     matchings of its four points.  The points are read as a (0, 4) frame
-    and each generator i of its words is stacked on them as the braid
-    generator crossing strands i-1 and i."""
-    _, words = _run_words(runs, 1)
+    and each crossing is stacked on them as the braid generator i
+    crossing strands i-1 and i: i = 1 for the first crossing and for a
+    horizontal run's, i = 2, a quarter turn round, for a vertical run's."""
+    letters = [1 if axis == "h" else 2 for axis, count, _ in runs for _ in range(count)]
     route = (3, 2, 1, 0)
-    for i in _block_word(1) + [i for word, _ in words for i in word]:
+    for i in [1] + letters[1:]:
         sigma = list(range(7, -1, -1))
         sigma[i - 1], sigma[i], sigma[7 - i], sigma[8 - i] = 7 - i, 8 - i, i - 1, i
         route, _ = _stack(route, tuple(sigma), 0, 4)

@@ -38,7 +38,6 @@ from slopelab.tl import (
     _stack,
     _sum_rows,
     _times_word,
-    _touched,
     colored_jones,
     crossing_block,
     delta_n,
@@ -707,6 +706,20 @@ def test_dense_form_refuses_two_classes():
         _sum_rows({"x": (0, [1]), "y": (0, [1])}, rows.__getitem__)
 
 
+def test_masked_assembly_matches_the_dense_drop():
+    # Shapes no recipe builds: a last run that is horizontal, runs of no
+    # crossings, and h, v, h, v, where top bundle 3 keeps its cups until
+    # the last horizontal run, though the vertical runs never touch it.
+    shapes = [
+        [("v", 2, 1), ("h", 2, -1)],
+        [("v", 0, 1), ("h", 2, 1), ("v", 0, -1), ("v", 1, -1)],
+        [("h", 1, 1), ("v", 2, 1), ("h", 1, 1), ("v", 1, 1)],
+    ]
+    for runs in shapes:
+        expected = _drop_killed(_dense_tangle(runs, 2), _cups(2, TOP))
+        assert tangle_element(runs, 2, TOP) == expected, runs
+
+
 def _drop_bundle_pairs(x, cable, bundle):
     """x without the matchings that pair two points of one bundle."""
     inside = range(bundle * cable, (bundle + 1) * cable)
@@ -722,7 +735,12 @@ def test_times_word_drops_cups_of_an_untouched_top_bundle(cable):
     rng = random.Random(80 + cable)
     cups = _cups(cable, 0b1000)
     vertical = [i + cable for i in _block_word(cable)]
-    assert _touched(vertical, cable) == 0b0110
+    # a generator i acts on labels 4 cable - i - 1 and 4 cable - i: bundles
+    # 1 and 2 for a vertical word, 2 and 3 for a horizontal one
+    for c in range(1, 6):
+        for shift, bundles in ((c, {1, 2}), (0, {2, 3})):
+            labels = {4 * c - i - shift - d for i in _block_word(c) for d in (0, 1)}
+            assert {label // c for label in labels} == bundles, (c, shift)
     dropped_any = False
     for _ in range(3):
         x = _random_element(rng, 2 * cable)
@@ -853,6 +871,8 @@ FROZEN_SPANS = [
     ("p:-7,5,7,3,5", 3, (-44, 252)),
     ("m:-1/3,2/7,1/4", 2, (-2, 34)),
     ("m:-1/3,2/7,1/4", 3, (-16, 100)),
+    ("m:-1/3,2/5,4/7", 3, (-68, 56)),
+    ("m:-1/3,2/5,4/7", 4, (-142, 114)),
 ]
 
 
@@ -888,6 +908,21 @@ FROZEN_COLOR4 = [
         " - v^90 - v^86 + v^82 + 3*v^78 + v^74 + v^66 + 2*v^62 + v^58 - v^54 - v^50"
         " - v^46 - 2*v^42 - 3*v^38 - v^34 - v^30 + v^18 + v^14 + 3*v^10 + 2*v^6 - v^2"
         " - 3*v^-2 - v^-6 + 3*v^-10 - 2*v^-18 - 2*v^-22",
+    ),
+    # Read from the state sum.  The last tangle, 4/7, runs h, v, h, v under
+    # a gated seam, so top bundle 3 keeps its cups until the last run.
+    (
+        "m:-1/3,2/5,4/7",
+        "-v^114 + 2*v^110 + 2*v^106 - 3*v^102 - 7*v^98 + v^94 + 16*v^90 + 6*v^86"
+        " - 21*v^82 - 22*v^78 + 18*v^74 + 42*v^70 - 2*v^66 - 57*v^62 - 27*v^58"
+        " + 54*v^54 + 63*v^50 - 33*v^46 - 87*v^42 - 7*v^38 + 93*v^34 + 49*v^30"
+        " - 80*v^26 - 83*v^22 + 54*v^18 + 106*v^14 - 22*v^10 - 112*v^6 - 2*v^2"
+        " + 109*v^-2 + 25*v^-6 - 103*v^-10 - 42*v^-14 + 91*v^-18 + 59*v^-22"
+        " - 69*v^-26 - 76*v^-30 + 38*v^-34 + 90*v^-38 + 3*v^-42 - 92*v^-46 - 51*v^-50"
+        " + 76*v^-54 + 92*v^-58 - 48*v^-62 - 111*v^-66 + 9*v^-70 + 112*v^-74"
+        " + 21*v^-78 - 87*v^-82 - 39*v^-86 + 56*v^-90 + 40*v^-94 - 30*v^-98"
+        " - 29*v^-102 + 12*v^-106 + 16*v^-110 - 3*v^-114 - 9*v^-118 + 2*v^-122"
+        " + 4*v^-126 - v^-130 - v^-134 - v^-138 + v^-142",
     ),
 ]
 
