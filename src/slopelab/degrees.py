@@ -13,7 +13,6 @@ normalized Euler characteristic of a spanning surface, which is what
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional
@@ -23,7 +22,7 @@ from .cfrac import bracket_sums
 # bound here by ``from .diagrams import`` is wrapped where it is bound.
 from .diagrams import build_standard_diagram  # noqa: F401
 from .errors import HypothesisViolation, NotAKnot
-from .knots import PretzelKnot, check_strict_pretzel
+from .knots import PretzelKnot, shape_failures, strict_failures, twist_box
 from .qip import integral
 
 SSTAR = "SStar"
@@ -117,16 +116,6 @@ def _case_and_hint(s: Fraction, s1: Fraction, m: int):
     return "3", REFERENCE, Fraction(0), Fraction(-2 * (m - 1))
 
 
-def _base_hypotheses(q) -> list[str]:
-    failures = []
-    if q[0] >= -1:
-        failures.append(f"q0 = {q[0]} must be < -1")
-    for i, qi in enumerate(q[1:], start=1):
-        if qi <= 1:
-            failures.append(f"q{i} = {qi} must be > 1")
-    return failures
-
-
 def pretzel_js_jx(q, strict: bool = True) -> DegreeQuadratic:
     """Leading degree coefficients of a pretzel twist vector.
 
@@ -135,30 +124,23 @@ def pretzel_js_jx(q, strict: bool = True) -> DegreeQuadratic:
     s = 0 gives js = 0 with jx depending on the sign of s1; s > 0
     gives the reference-surface values js = 0, jx = -2(m-1).
 
-    Strict mode demands q0 < -1 < 1 < qi with odd entries and even
-    m >= 2 (the hypotheses under which the case analysis is a theorem);
-    strict=False evaluates the same formulas anyway and records
-    strict_ok=False in the result.
+    Strict mode demands an empty ``strict_failures(q)`` (the hypotheses
+    under which the case analysis is a theorem); strict=False evaluates
+    the same formulas anyway and records strict_ok=False in the result.
+    It never lifts ``shape_failures``: s, s1 need q0 < -1 < 1 < qi.
     """
     q = tuple(integral(x, "twist entry") for x in q)
     if len(q) < 2:
         raise HypothesisViolation(["need q0 and at least one positive twist entry"])
-    base_failures = _base_hypotheses(q)
-    if base_failures:
-        # q0 < -1 < 1 < qi is needed for s/s1 to mean anything; never forced.
-        raise HypothesisViolation(base_failures)
-    strict_ok = True
-    try:
-        check_strict_pretzel(q)
-    except HypothesisViolation:
-        if strict:
-            raise
-        strict_ok = False
+    failures = strict_failures(q)
+    shape = shape_failures(q)
+    if shape or (strict and failures):
+        raise HypothesisViolation(shape or failures)
     s, s1 = s_and_s1(q)
     m = len(q) - 1
     case, hint, js, jx = _case_and_hint(s, s1, m)
     return DegreeQuadratic(
-        js=js, jx=jx, surface_hint=hint, case=case, s=s, s1=s1, strict_ok=strict_ok
+        js=js, jx=jx, surface_hint=hint, case=case, s=s, s1=s1, strict_ok=not failures
     )
 
 
@@ -246,22 +228,19 @@ def exceptional_scan(q0_min: int, qi_max: int, ms=(2, 3)) -> list[tuple[int, ...
     """Twist vectors with s >= 0 and s1 = 0 that close up into knots.
 
     Scans q0 in [q0_min, -2] and positive entries in [3, qi_max] for
-    the given tangle counts, keeping one representative per multiset of
-    positive entries (sorted ascending).  These are exactly the
-    families where the leading degree coefficient js vanishes while
-    the subleading analysis stays balanced.
+    the given tangle counts, each checked positive before the first
+    vector, keeping one representative per multiset of positive entries
+    (sorted ascending).  These are exactly the families where the
+    leading degree coefficient js vanishes while the subleading
+    analysis stays balanced.
     """
-    found = set()
+    ms = tuple(ms)
     for m in ms:
-        for q0 in range(q0_min, -1):
-            for rest in itertools.combinations_with_replacement(
-                range(3, qi_max + 1), m
-            ):
-                q = (q0,) + rest
-                s, s1 = s_and_s1(q)
-                if s < 0 or s1 != 0:
-                    continue
-                if not PretzelKnot(q).is_knot():
-                    continue
-                found.add(q)
+        if m < 1:
+            raise ValueError(f"tangle count {m} must be positive")
+    found = set()
+    for q in twist_box(range(q0_min, -1), range(3, qi_max + 1), ms):
+        s, s1 = s_and_s1(q)
+        if s >= 0 and s1 == 0 and PretzelKnot(q).is_knot():
+            found.add(q)
     return sorted(found)

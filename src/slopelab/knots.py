@@ -14,6 +14,7 @@ corrections, are computed on first use and kept on the object.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -273,23 +274,46 @@ def require_knot(knot):
         raise NotAKnot(f"{knot.spec()} closes up into a link")
 
 
-def check_strict_pretzel(q) -> None:
-    """Hypotheses for the sharp degree formulas: q0 < -1 < 1 < qi, all
-    odd, and an odd number of tangles (m even, at least 2)."""
-    failures = []
+def shape_failures(q) -> list[str]:
+    """Why q breaks q0 < -1 < 1 < qi, the strict half that is never forced."""
     q = tuple(q)
-    m = len(q) - 1
-    if m < 2:
-        failures.append(f"need at least three twist regions, got {m + 1}")
-    if m % 2 != 0:
-        failures.append(f"need an odd number of twist regions, got {m + 1}")
+    failures = []
     if not q or q[0] >= -1:
         failures.append(f"leading twist must be < -1, got {q[0] if q else None}")
     for x in q[1:]:
         if x <= 1:
             failures.append(f"positive twists must be > 1, got {x}")
+    return failures
+
+
+def strict_failures(q) -> list[str]:
+    """Why q lies outside the strict class of the sharp degree formulas:
+    q0 < -1 < 1 < qi, all odd, and m even, at least 2.  Empty inside."""
+    q = tuple(q)
+    m = len(q) - 1
+    failures = []
+    if m < 2:
+        failures.append(f"need at least three twist regions, got {m + 1}")
+    if m % 2 != 0:
+        failures.append(f"need an odd number of twist regions, got {m + 1}")
+    failures += shape_failures(q)
     for x in q:
         if x % 2 == 0:
             failures.append(f"twist {x} is even")
+    return failures
+
+
+def check_strict_pretzel(q) -> None:
+    """Raise HypothesisViolation with ``strict_failures(q)`` unless q is strict."""
+    failures = strict_failures(q)
     if failures:
         raise HypothesisViolation(failures)
+
+
+def twist_box(q0s, entries, counts):
+    """Each (q0, q1 <= ... <= qm), m from counts, q0 from the range q0s
+    (walked once per m) and the qi from the ascending entries, in order."""
+    for m in counts:
+        for q0 in q0s:
+            for rest in itertools.combinations_with_replacement(entries, m):
+                yield (q0,) + rest

@@ -10,7 +10,6 @@ three views, the comparisons, and a machine-readable JSON rendering;
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -25,7 +24,7 @@ from .degrees import (
 # bound here by ``from .diagrams import`` is wrapped where it is bound.
 from .diagrams import build_standard_diagram  # noqa: F401
 from .errors import ColorTooLarge
-from .knots import PretzelKnot, parse_knot_spec, require_knot
+from .knots import PretzelKnot, parse_knot_spec, require_knot, twist_box
 from .qip import integral, maximize_degree
 from .surfaces import (
     CandidateSurface,
@@ -282,20 +281,16 @@ def verify(knot_spec, oracle_colors=None, force: bool = False) -> VerificationRe
 def iter_strict_pretzels(q0_min: int, qi_max: int, tangle_counts=(2,)):
     """All strict twist vectors with q0 >= q0_min and qi <= qi_max.
 
-    Entries are odd, the leading one at most -3, the others at least
-    3 and sorted; tangle counts must be even, and a repeated count is
-    scanned once.
+    Entries are odd, the leading one from q0_min | 1 (the least odd
+    integer >= q0_min) to -3, the others at least 3 and sorted: the box
+    pruned to ``knots.strict_failures``'s class.  Tangle counts must be
+    even, all are checked first, and a repeated one is scanned once.
     """
-    for m in dict.fromkeys(tangle_counts):
+    counts = tuple(dict.fromkeys(tangle_counts))
+    for m in counts:
         if m % 2 != 0 or m < 2:
             raise ValueError(f"tangle count {m} must be even and at least 2")
-        for q0 in range(q0_min, -2):
-            if q0 % 2 == 0:
-                continue
-            for rest in itertools.combinations_with_replacement(
-                range(3, qi_max + 1, 2), m
-            ):
-                yield (q0,) + rest
+    return twist_box(range(q0_min | 1, -2, 2), range(3, qi_max + 1, 2), counts)
 
 
 def scan(

@@ -20,6 +20,7 @@ from slopelab.knots import (
     PretzelKnot,
     associated_pretzel,
     parse_knot_spec,
+    shape_failures,
 )
 from slopelab.qip import maximize_degree
 from slopelab.surfaces import sstar_vector
@@ -88,6 +89,14 @@ def test_pretzel_js_jx_base_hypotheses_never_forced():
     for q in [(1, 3, 3), (-3, 1, 3), (-3, 3, 0)]:
         with pytest.raises(HypothesisViolation):
             pretzel_js_jx(q, strict=False)
+
+
+def test_pretzel_js_jx_raises_the_shape_failures():
+    for q in [(1, 3, 3), (-3, 1, 3), (-3, 3, 0), (-2, 2, -5, 4)]:
+        for strict in (True, False):
+            with pytest.raises(HypothesisViolation) as err:
+                pretzel_js_jx(q, strict=strict)
+            assert err.value.failures == shape_failures(q) != []
 
 
 def delta_nk(n, k, q):
@@ -431,6 +440,17 @@ def test_twist_entries_must_be_integers():
                 call(q)
         assert call((-3.0, Fraction(3), 3)) == call((-3, 3, 3))
     assert PretzelKnot((-3.0, 3, Fraction(3))).q == (-3, 3, 3)
+
+
+@pytest.mark.parametrize("ms, bad", [((2, 0), 0), ((-1,), -1)])
+def test_exceptional_scan_checks_every_count_first(monkeypatch, ms, bad):
+    import slopelab.degrees
+
+    calls = []
+    monkeypatch.setattr(slopelab.degrees, "s_and_s1", lambda q: calls.append(q))
+    with pytest.raises(ValueError, match=f"^tangle count {bad} must be positive$"):
+        exceptional_scan(-9, 9, ms=ms)
+    assert calls == []
 
 
 def test_exceptional_scan_windows():

@@ -20,6 +20,7 @@ from slopelab.knots import (
     normalize_reduced,
     parse_knot_spec,
     require_knot,
+    strict_failures,
     tangle_sum_parity,
 )
 from support import classify_by_cases
@@ -328,6 +329,18 @@ def test_check_strict_pretzel_accepts():
     check_strict_pretzel((-7, 5, 7, 3, 5))
     check_strict_pretzel((-3, 3, 3))
     check_strict_pretzel((-3, 9, 9, 9, 9))
+
+
+def test_strict_failures_empty_on_the_strict_class():
+    for q in [(-7, 5, 7, 3, 5), (-3, 3, 3), (-3, 9, 9, 9, 9)]:
+        assert strict_failures(q) == []
+    assert strict_failures([-2, 3, 0, 4]) == [
+        "need an odd number of twist regions, got 4",
+        "positive twists must be > 1, got 0",
+        "twist -2 is even",
+        "twist 0 is even",
+        "twist 4 is even",
+    ]
 
 
 @pytest.mark.parametrize(

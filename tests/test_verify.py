@@ -13,7 +13,13 @@ import pytest
 import slopelab
 from slopelab import cli
 from slopelab.errors import ColorTooLarge, HypothesisViolation, NotAKnot
-from slopelab.knots import MontesinosKnot, PretzelKnot, parse_knot_spec
+from slopelab.knots import (
+    MontesinosKnot,
+    PretzelKnot,
+    parse_knot_spec,
+    strict_failures,
+    twist_box,
+)
 from slopelab.verify import (
     SCHEMA,
     iter_strict_pretzels,
@@ -256,6 +262,60 @@ def test_iter_strict_pretzels_validation():
     assert all(
         PretzelKnot(q).is_knot() for q in iter_strict_pretzels(-9, 9, (2, 4))
     )
+
+
+@pytest.mark.parametrize(
+    "q0_min, qi_max, counts, size",
+    [
+        (-9, 9, (2,), 40),
+        (-10, 10, (2, 4), 180),
+        (-3, 5, (2,), 3),
+        (-2, 9, (2,), 0),
+        (5, 9, (2,), 0),
+    ],
+)
+def test_iter_strict_pretzels_is_the_strict_class(q0_min, qi_max, counts, size):
+    # the odd ranges are only a pruning: filtering the whole box by the
+    # rule must give the same vectors in the same order
+    whole = twist_box(range(q0_min, -1), range(3, qi_max + 1), counts)
+    expected = [q for q in whole if not strict_failures(q)]
+    assert list(iter_strict_pretzels(q0_min, qi_max, counts)) == expected
+    assert len(expected) == size
+
+
+def test_scan_checks_every_tangle_count_before_any_work(monkeypatch):
+    calls = []
+    verify_module = importlib.import_module("slopelab.verify")
+    monkeypatch.setattr(verify_module, "verify", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="^tangle count 3 must be even and at least 2$"):
+        scan(tangle_counts=(2, 3))
+    with pytest.raises(ValueError, match="^tangle count 3 must be even and at least 2$"):
+        iter_strict_pretzels(-9, 9, (2, 3))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "spec, failures, colors",
+    [
+        ("p:-2,3,5", ["twist -2 is even"], [(2, -42, -46), (3, -120, -124), (4, -222, -234)]),
+        ("p:-3,4,5", ["twist 4 is even"], [(2, 2, -10), (3, -32, -32), (4, -62, -62)]),
+        ("p:-4,3,5", ["twist -4 is even"], [(2, -54, -54), (3, -144, -144), (4, -278, -278)]),
+        ("p:-5,3,3,3,3", [], [(2, -6, -6), (3, -28, -28), (4, -66, -66)]),
+    ],
+)
+def test_forced_frontier_witnesses(spec, failures, colors):
+    # a finding, not a gate: forced knots that each break exactly one
+    # restriction, and a strict control, with their measured and
+    # predicted minimal degrees
+    knot = parse_knot_spec(spec)
+    assert strict_failures(knot.q) == failures
+    r = verify(knot, oracle_colors=(2, 3, 4), force=True)
+    assert [(c.color, c.measured_min_degree, c.predicted_min_degree) for c in r.oracle] == colors
+
+
+def test_shape_errors_read_the_strict_wording(capsys):
+    assert cli.main(["verify", "p:3,5,5"]) == 2
+    assert capsys.readouterr().err == "error: leading twist must be < -1, got 3\n"
 
 
 def test_cli_verify_pass(capsys):
